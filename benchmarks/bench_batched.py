@@ -13,12 +13,10 @@ import os
 import random
 import time
 
-import pytest
+import numpy as np
 
 from repro.automata.moore import MooreMachine
 from repro.perf.batched import BatchedMoore
-
-np = pytest.importorskip("numpy")
 
 STREAM_BITS = int(os.environ.get("REPRO_BENCH_STREAM_BITS", "500000"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "5.0"))

@@ -11,11 +11,9 @@ import os
 import random
 import time
 
-import pytest
+import numpy as np
 
 from repro.automata.moore import MooreMachine
-
-np = pytest.importorskip("numpy")
 
 # Stream length and required advantage; override for quick CI smoke runs.
 STREAM_BITS = int(os.environ.get("REPRO_BENCH_STREAM_BITS", "500000"))

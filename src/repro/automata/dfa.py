@@ -13,12 +13,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.automata.nfa import EPSILON, NFA
+import numpy as _np
 
-try:  # numpy enables the entry-space fast path; never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+from repro.automata.nfa import EPSILON, NFA
 
 # Below this many NFA states the bignum worklist beats the numpy setup.
 _ENTRY_THRESHOLD = 256
@@ -439,8 +436,8 @@ def subset_construct(nfa: NFA) -> DFA:
     same FIFO order as the textbook version, so state numbering (and the
     resulting DFA) is identical, just orders of magnitude cheaper on the
     dense subsets the predictor pipeline produces.  Large NFAs take the
-    entry-space construction (:func:`_subset_construct_entry`) when numpy
-    is present, which is bit-identical again and another ~4x cheaper.
+    entry-space construction (:func:`_subset_construct_entry`), which is
+    bit-identical again and another ~4x cheaper.
     """
     n = nfa.num_states
     eps_succ: List[List[int]] = [[] for _ in range(n)]
@@ -453,11 +450,8 @@ def subset_construct(nfa: NFA) -> DFA:
         elif symbol in sym_succ:
             sym_succ[symbol][state] = sorted(dsts)
 
-    if _np is not None and n >= _ENTRY_THRESHOLD:
-        from repro.perf.batched import batch_enabled
-
-        if batch_enabled():
-            return _subset_construct_entry(nfa, eps_succ, sym_succ)
+    if n >= _ENTRY_THRESHOLD:
+        return _subset_construct_entry(nfa, eps_succ, sym_succ)
 
     closures = _epsilon_closures(eps_succ)
 

@@ -21,8 +21,8 @@ enough to be version-stable (string-seeded PRNGs are platform-stable,
 so in practice the measured numbers are exact constants) but tight
 enough that a real regression -- a off-by-one in simulation, a broken
 transition -- blows straight through them.  Cases are restricted to
-chains with at most 3 states so the pure-python (no-numpy) CI leg can
-afford the exhaustive oracle search.
+chains with at most 3 states so the check stays inside the exhaustive
+oracle's small-k budget.
 """
 
 from __future__ import annotations

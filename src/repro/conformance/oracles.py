@@ -23,6 +23,9 @@ Inventory:
                                string up to length L
 ``oracle_moore_outputs``       table-driven Moore simulation (vs the
                                compiled batch kernels)
+``oracle_banked_replay``       dict-of-states replay of an indexed table
+                               of machines (vs ``perf.batched``'s
+                               ``banked_replay``)
 ``oracle_minimal_moore``       minimization by pairwise state equivalence
                                (vs Hopcroft's partition refinement)
 ``oracle_steady_states``       exhaustive start-state reachability: run
@@ -287,6 +290,40 @@ def oracle_prediction_counts(
             hits += 1
         state = machine.transitions[state][bit]
     return hits, len(trace)
+
+
+def oracle_banked_replay(
+    transitions: Sequence[Sequence[int]],
+    start: int,
+    indices: Sequence[int],
+    bits: Sequence[int],
+    update_mask: Optional[Sequence[int]] = None,
+    entry_initial=None,
+) -> Tuple[List[int], List[int], List[int]]:
+    """``(entries, pre_states, final_states)`` of a bank of identical
+    machines, one per distinct index, replayed one event at a time: the
+    per-event reference for :func:`repro.perf.batched.banked_replay`.
+
+    Event ``i`` reads entry ``indices[i]`` (its state lands in
+    ``pre_states``) and, unless ``update_mask[i]`` is 0, steps it along
+    ``bits[i]``.  ``entry_initial(entries)`` gives per-entry initial
+    states (default: every entry starts in ``start``).
+    """
+    states: Dict[int, int] = {}
+    pre: List[int] = []
+    for i, entry in enumerate(indices):
+        state = states.get(entry)
+        if state is None:
+            if entry_initial is None:
+                state = start
+            else:
+                state = int(entry_initial([entry])[0])
+        pre.append(state)
+        if update_mask is None or update_mask[i]:
+            state = transitions[state][bits[i]]
+        states[entry] = state
+    entries = sorted(states)
+    return entries, pre, [states[e] for e in entries]
 
 
 # ----------------------------------------------------------------------

@@ -18,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.reliability.errors import TraceError
+import numpy as _np
 
-try:  # numpy accelerates batch training but is never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.reliability.errors import TraceError
 
 # Below this many observations the per-element loop beats array setup.
 _BATCH_THRESHOLD = 1024
@@ -69,7 +66,7 @@ class MarkovModel:
         n = self.order
         if len(trace) <= n:
             return
-        if _np is not None and len(trace) - n >= _BATCH_THRESHOLD:
+        if len(trace) - n >= _BATCH_THRESHOLD:
             bits = _as_bit_array(trace)
             if bits is not None:
                 # History bit j-1 holds the outcome j steps back, so the
@@ -115,7 +112,7 @@ class MarkovModel:
         """
         if len(histories) != len(outcomes):
             raise ValueError("histories and outcomes must be the same length")
-        if _np is not None and len(histories) >= _BATCH_THRESHOLD:
+        if len(histories) >= _BATCH_THRESHOLD:
             hist = _np.asarray(histories, dtype=_np.int64)
             outs = _as_bit_array(outcomes)
             if outs is not None:

@@ -15,21 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro.automata.moore import MooreMachine
 from repro.core.markov import MarkovModel, _as_bit_array
 from repro.core.pipeline import DesignConfig, DesignResult, FSMDesigner
+from repro.perf import batched
 from repro.predictors.xscale import XScalePredictor
 from repro.workloads.trace import BranchTrace
 
-try:  # numpy accelerates profiling but is never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 CUSTOM_HISTORY_LENGTH = 9  # the paper's setting for all custom predictors
-
-# Below this many records the per-record loop beats array setup.
-_BATCH_THRESHOLD = 2048
 
 
 @dataclass
@@ -54,7 +49,7 @@ def collect_branch_models(
     global history at the moment the branch executes."""
     collection = PerBranchModels(order=order)
     models = collection.models
-    if _np is not None and len(trace.pcs) >= _BATCH_THRESHOLD:
+    if len(trace.pcs) >= batched.BATCH_THRESHOLD:
         outcomes = _as_bit_array(trace.outcomes)
         if outcomes is not None:
             pcs = _np.asarray(trace.pcs, dtype=_np.int64)
@@ -153,11 +148,9 @@ def fsm_correct_counts(
     machine's whole state trajectory is one compiled ``run_states`` batch;
     the per-branch tally is a couple of gathers over that trajectory.
     """
-    if _np is not None and machines and len(trace.pcs) >= _BATCH_THRESHOLD:
+    if machines and len(trace.pcs) >= batched.BATCH_THRESHOLD:
         outcomes = _as_bit_array(trace.outcomes)
         if outcomes is not None:
-            from repro.perf.batched import BatchedMoore, batch_enabled
-
             pcs = _np.asarray(trace.pcs, dtype=_np.int64)
             items = list(machines.items())
             result: Dict[int, Tuple[int, int]] = {}
@@ -165,8 +158,8 @@ def fsm_correct_counts(
             # same global outcome stream), replacing a compile + run per
             # machine with a single BatchedMoore run.
             states_all = None
-            if batch_enabled() and len(items) > 1:
-                states_all = BatchedMoore(
+            if len(items) > 1:
+                states_all = batched.BatchedMoore(
                     [machine for _pc, machine in items]
                 ).run_states(outcomes)
             for m, (pc, machine) in enumerate(items):

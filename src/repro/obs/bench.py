@@ -11,9 +11,8 @@ one schema-versioned JSON snapshot:
   aggregated from the span sink (the same data ``--profile`` prints);
 * ``metrics``   -- the unified counter registry (cache hits/misses, pool
   tasks, ...) after the pass;
-* ``backend``   -- the active simulation backend (numpy version or
-  ``"pure-python"``) and batching knobs, so deltas across machines are
-  interpretable.
+* ``backend``   -- the active simulation backend (numpy version) and
+  batching parameters, so deltas across machines are interpretable.
 
 CI regenerates the snapshot on every push, validates it against
 :func:`validate_bench_snapshot`, and uploads it as an artifact, so the
@@ -58,12 +57,11 @@ def _timed(name: str, fn, timings: List[Dict[str, Any]]) -> Any:
 
 
 def _kernel_speedup(bits: int) -> Optional[float]:
-    """Compiled batch kernel vs the per-symbol loop; None without numpy."""
-    try:
-        import numpy as np
-    except ImportError:
-        return None
+    """Compiled batch kernel vs the per-symbol loop; None when the batch
+    run is too fast for the clock to resolve."""
     import random
+
+    import numpy as np
 
     from repro.automata.moore import MooreMachine
 

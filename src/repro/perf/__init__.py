@@ -1,7 +1,7 @@
 """Performance layer: compiled fast paths, design caching, parallelism.
 
-Three independent pieces, all strictly optional and all bit-identical to
-the slow paths they accelerate:
+Independent pieces; the compiled and batched kernels are bit-identical
+to the per-event loops they accelerate (numpy is a hard dependency):
 
 - :mod:`repro.perf.compiled` lowers a :class:`~repro.automata.moore.MooreMachine`
   to dense arrays with a batch ``run_bits`` kernel.
@@ -18,7 +18,6 @@ from repro.perf.batched import (
     BatchedMoore,
     backend_info,
     banked_replay,
-    batch_enabled,
     batched_map,
     simulate_predictors_batched,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "CompiledMoore",
     "backend_info",
     "banked_replay",
-    "batch_enabled",
     "batched_map",
     "cache_dir",
     "cache_enabled",

@@ -27,20 +27,17 @@ every sweep shape in the harness:
     every branch but trained only on disagreement.
 
 Both kernels are bit-identical to the per-event loops they replace (the
-``tests/perf`` property suites pin this) and both degrade to pure-python
-fallbacks when numpy is absent.  ``REPRO_BATCH=0`` disables every batched
-fast path at call time, like ``REPRO_CACHE`` for the design cache.
+``tests/perf`` property suites pin this; ``banked_replay``'s reference is
+:func:`repro.conformance.oracles.oracle_banked_replay`).  Callers keep
+those loops for inputs below :data:`BATCH_THRESHOLD`, where array setup
+costs more than it saves.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-try:  # numpy is optional; the kernels keep working without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+import numpy as _np
 
 from repro.perf.compiled import _block_bits
 
@@ -48,25 +45,10 @@ from repro.perf.compiled import _block_bits
 BATCH_THRESHOLD = 2048
 
 
-def numpy_available() -> bool:
-    return _np is not None
-
-
-def batch_enabled() -> bool:
-    """Honour ``REPRO_BATCH`` (re-read every call, like ``REPRO_CACHE``)."""
-    value = os.environ.get("REPRO_BATCH", "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
 def backend_info() -> Dict[str, object]:
     """The active simulation backend, for bench snapshots and logs."""
-    if _np is not None:
-        backend = f"numpy-{_np.__version__}"
-    else:
-        backend = "pure-python"
     return {
-        "backend": backend,
-        "batch_enabled": batch_enabled(),
+        "backend": f"numpy-{_np.__version__}",
         "max_block_bits": _block_bits(2),
     }
 
@@ -103,12 +85,6 @@ class BatchedMoore:
         self.state_counts = [m.num_states for m in machines]
         self.max_states = max(self.state_counts)
         self.starts = [m.start for m in machines]
-        self._delta_lists = [
-            [list(row) for row in m.transitions] for m in machines
-        ]
-        self._output_lists = [list(m.outputs) for m in machines]
-        if _np is None:
-            return
         M, S = self.num_machines, self.max_states
         # Padded stacked tables: rows for states a machine does not have
         # self-loop, so the doubling composition below stays in range.
@@ -239,10 +215,7 @@ class BatchedMoore:
         return enc
 
     def run_states(self, bits: Sequence[int]):
-        """States after each consumed bit: ``(M, N)`` array (list of lists
-        without numpy)."""
-        if _np is None:
-            return self._run_states_slow(bits)
+        """States after each consumed bit: ``(M, N)`` array."""
         bits_arr = _np.asarray(bits, dtype=_np.int64)
         enc = self._run_encoded(bits_arr)
         return (enc >> 1) - self._base_q.astype(_np.int32)[:, None]
@@ -250,11 +223,6 @@ class BatchedMoore:
     def pre_states(self, bits: Sequence[int]):
         """States *before* each consumed bit (prediction-style reads)."""
         after = self.run_states(bits)
-        if _np is None:
-            return [
-                [self.starts[m]] + row[:-1] if row else []
-                for m, row in enumerate(after)
-            ]
         M, N = after.shape
         before = _np.empty_like(after)
         before[:, 0:1] = self._starts_arr[:, None] if N else 0
@@ -265,23 +233,12 @@ class BatchedMoore:
     def run_outputs(self, bits: Sequence[int]):
         """Outputs of the visited states -- the stacked analogue of
         :meth:`MooreMachine.trace_outputs`."""
-        if _np is None:
-            after = self.run_states(bits)
-            return [
-                [self._output_lists[m][s] for s in row]
-                for m, row in enumerate(after)
-            ]
         # The output bit rides in the encoded state's LSB: no gather.
         enc = self._run_encoded(_np.asarray(bits, dtype=_np.int64))
         return enc & 1
 
     def final_states(self, bits: Sequence[int]):
         after = self.run_states(bits)
-        if _np is None:
-            return [
-                row[-1] if row else self.starts[m]
-                for m, row in enumerate(after)
-            ]
         if after.shape[1] == 0:
             return self._starts_arr.copy()
         return after[:, -1].copy()
@@ -360,20 +317,6 @@ class BatchedMoore:
         starts = starts_ck.reshape(M, C * K)[:, :nblocks]
         return (starts - base[:, None]).astype(_np.int64)
 
-    # ------------------------------------------------------------------
-    def _run_states_slow(self, bits: Sequence[int]) -> List[List[int]]:
-        out: List[List[int]] = []
-        for m in range(self.num_machines):
-            delta = self._delta_lists[m]
-            state = self.starts[m]
-            row: List[int] = []
-            append = row.append
-            for bit in bits:
-                state = delta[state][bit]
-                append(state)
-            out.append(row)
-        return out
-
 
 def _compose_batch(hi, lo):
     """Compose stacked pattern tables: ``r[m, h*P_lo + l, s] =
@@ -398,7 +341,7 @@ class BankResult:
     """Output of :func:`banked_replay`.
 
     ``entries``
-        The distinct indices touched, ascending (numpy array or list).
+        The distinct indices touched, ascending.
     ``pre_states``
         Per event, the state of that event's entry *before* the event --
         what a table predictor reads.  Aligned with the input order.
@@ -467,10 +410,6 @@ def banked_replay(
     whole bank advances in block steps regardless of how ragged the
     per-entry subsequences are.
     """
-    if _np is None or not batch_enabled():
-        return _banked_replay_py(
-            transitions, start, indices, bits, update_mask, entry_initial
-        )
     idx = _np.asarray(indices, dtype=_np.int64)
     ev = _np.asarray(bits, dtype=_np.int64)
     N = idx.shape[0]
@@ -596,41 +535,6 @@ def banked_replay(
     pre = _np.empty(N, dtype=_np.int64)
     pre[order] = pre_sorted
     return BankResult(entries, pre, final)
-
-
-def _banked_replay_py(
-    transitions, start, indices, bits, update_mask, entry_initial
-) -> BankResult:
-    """Reference per-event loop (also the no-numpy fallback)."""
-    states: Dict[int, int] = {}
-    pre: List[int] = []
-    touched: List[int] = []
-    n = len(indices)
-    if entry_initial is None:
-        def initial_of(_entry: int) -> int:
-            return start
-        init_map: Dict[int, int] = {}
-    else:
-        init_map = {}
-
-        def initial_of(entry: int) -> int:
-            if entry not in init_map:
-                init_map[entry] = int(entry_initial([entry])[0])
-            return init_map[entry]
-
-    for i in range(n):
-        entry = indices[i]
-        state = states.get(entry)
-        if state is None:
-            state = initial_of(entry)
-            states[entry] = state
-            touched.append(entry)
-        pre.append(state)
-        if update_mask is None or update_mask[i]:
-            states[entry] = transitions[state][bits[i]]
-    entries = sorted(touched)
-    finals = [states[e] for e in entries]
-    return BankResult(entries, pre, finals)
 
 
 # ----------------------------------------------------------------------

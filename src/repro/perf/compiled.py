@@ -17,20 +17,13 @@ integer arrays and simulates whole traces at once:
 The result is exactly the state/output sequence of the per-symbol loop --
 the equivalence property tests in ``tests/perf`` hold compiled and
 interpreted runs bit-identical.
-
-numpy is optional: without it the same API runs a tightened per-symbol loop
-(still faster than ``trace_outputs`` thanks to dense local tables, but the
-big win needs numpy).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.automata.moore import MooreMachine
@@ -65,11 +58,7 @@ class CompiledMoore:
         self.machine = machine
         self.start = machine.start
         self.num_states = machine.num_states
-        self._outputs_list: List[int] = list(machine.outputs)
         self._delta_list: List[List[int]] = [list(r) for r in machine.transitions]
-        if _np is None:
-            self._delta = None
-            return
         n = self.num_states
         self._delta = _np.asarray(machine.transitions, dtype=_np.int64)
         self._outputs = _np.asarray(machine.outputs, dtype=_np.int64)
@@ -97,11 +86,8 @@ class CompiledMoore:
     # Batch kernels
     # ------------------------------------------------------------------
     def run_states(self, bits: Sequence[int], start: Optional[int] = None):
-        """State after each consumed bit (numpy array, or list without
-        numpy)."""
+        """State after each consumed bit, as a numpy array."""
         state = self.start if start is None else start
-        if _np is None:
-            return self._run_states_slow(bits, state)
         bits_arr = _np.asarray(bits, dtype=_np.int64)
         T = bits_arr.shape[0]
         if T == 0:
@@ -148,29 +134,13 @@ class CompiledMoore:
     def run_bits(self, bits: Sequence[int], start: Optional[int] = None):
         """Outputs of the states visited while consuming ``bits`` -- the
         batch form of :meth:`MooreMachine.trace_outputs`."""
-        states = self.run_states(bits, start=start)
-        if _np is None:
-            outputs = self._outputs_list
-            return [outputs[s] for s in states]
-        return self._outputs[states]
+        return self._outputs[self.run_states(bits, start=start)]
 
     def final_state(self, bits: Sequence[int], start: Optional[int] = None) -> int:
         states = self.run_states(bits, start=start)
         if len(states) == 0:
             return self.start if start is None else start
         return int(states[-1])
-
-    # ------------------------------------------------------------------
-    # numpy-free fallback
-    # ------------------------------------------------------------------
-    def _run_states_slow(self, bits: Sequence[int], state: int) -> List[int]:
-        delta = self._delta_list
-        out: List[int] = []
-        append = out.append
-        for bit in bits:
-            state = delta[state][bit]
-            append(state)
-        return out
 
 
 def _scan_starts(maps: "_np.ndarray", state: int):

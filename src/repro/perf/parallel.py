@@ -188,12 +188,10 @@ def parallel_map(
     n_jobs = min(n_jobs, len(work))
     if _IN_WORKER or n_jobs <= 1 or len(work) <= 1:
         return _serial_map(fn, work, on_result)
-    try:
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:  # pragma: no cover - stripped-down stdlib
-        return _serial_map(fn, work, on_result)
+    from concurrent.futures import TimeoutError as FuturesTimeout
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         # Lambdas/closures can't cross the process boundary; probing here
         # (pickling raises AttributeError, not just PicklingError) keeps

@@ -126,17 +126,9 @@ def simulate_predictor(
         # post-simulation state and the stats are bit-identical.
         batch = getattr(predictor, "_batch_simulate", None)
         if batch is not None:
-            from repro.perf.batched import (
-                BATCH_THRESHOLD,
-                batch_enabled,
-                numpy_available,
-            )
+            from repro.perf.batched import BATCH_THRESHOLD
 
-            if (
-                len(pcs) < BATCH_THRESHOLD
-                or not numpy_available()
-                or not batch_enabled()
-            ):
+            if len(pcs) < BATCH_THRESHOLD:
                 batch = None
         with trace_span(
             "sim.predictor",

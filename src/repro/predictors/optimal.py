@@ -54,11 +54,12 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.automata.hopcroft import hopcroft_minimize
 from repro.automata.moore import BINARY_ALPHABET, MooreMachine
 from repro.obs.metrics import metrics
 from repro.obs.tracing import trace_span
-from repro.perf.batched import numpy_available
 from repro.perf.cache import cached, digest_of
 from repro.reliability.durability import durable_map
 
@@ -172,8 +173,6 @@ def _evaluate_numpy(
     (one fancy-gather per bit over the whole shard), visit counts land
     via one ``bincount`` per chunk.  Costs are exact -- bit-identical to
     the python loop -- only the bookkeeping is vectorized."""
-    import numpy as np
-
     table = np.asarray(structures, dtype=np.int32)  # (M, 2k)
     m = table.shape[0]
     mach = np.arange(m)
@@ -203,7 +202,7 @@ def _search_shard(item: Tuple[Tuple[int, ...], int, int, int]) -> Tuple[int, int
     structures = list(itertools.islice(enumerate_structures(k), start, stop))
     if not structures:
         return (len(bits), -1)  # worst possible; never wins
-    if numpy_available() and len(bits) * len(structures) >= _NUMPY_CUTOVER:
+    if len(bits) * len(structures) >= _NUMPY_CUTOVER:
         cost, idx = _evaluate_numpy(bits, structures, k)
     else:
         cost, idx = _evaluate_python(bits, structures, k)
@@ -371,9 +370,7 @@ def machine_mispredicts(machine: MooreMachine, bits: Sequence[int]) -> int:
     bits = [int(b) for b in bits]
     if not bits:
         return 0
-    if numpy_available() and len(bits) >= 4096:
-        import numpy as np
-
+    if len(bits) >= 4096:
         outs = np.asarray(machine.compile().run_bits(bits), dtype=np.int64)
         preds = np.empty(len(bits), dtype=np.int64)
         preds[0] = machine.outputs[machine.start]

@@ -89,18 +89,13 @@ def batch_fitness(
     :class:`~repro.perf.batched.BatchedMoore` run; per-genome accuracy is
     a gather at the target branch's positions.  Bit-identical to mapping
     :func:`fitness` (same integer division), which it falls back to
-    without numpy or for small inputs.
+    for small inputs.
     """
     if not genomes:
         return []
     from repro.perf import batched
 
-    if (
-        batched._np is None
-        or not batched.batch_enabled()
-        or len(genomes) < 2
-        or len(pcs) < batched.BATCH_THRESHOLD
-    ):
+    if len(genomes) < 2 or len(pcs) < batched.BATCH_THRESHOLD:
         return [fitness(g, pcs, outcomes, target_pc) for g in genomes]
     np = batched._np
     try:

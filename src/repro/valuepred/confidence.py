@@ -109,15 +109,12 @@ def _banked_confidence(
 ) -> Optional[ConfidenceStats]:
     """Replay an entry-banked confidence sweep through
     :func:`repro.perf.batched.banked_replay`, or return ``None`` when the
-    batched path is unavailable or the inputs are not clean 0/1 columns.
+    inputs are too short to pay for array setup or are not clean 0/1
+    columns.
     """
     from repro.perf import batched
 
-    if (
-        batched._np is None
-        or not batched.batch_enabled()
-        or len(indices) < batched.BATCH_THRESHOLD
-    ):
+    if len(indices) < batched.BATCH_THRESHOLD:
         return None
     np = batched._np
     try:
@@ -187,8 +184,8 @@ def evaluate_fsm_confidence(
 
     Functionally ``evaluate_counter_confidence`` with an FSM unit, but
     implemented on the raw transition table because this inner loop runs
-    millions of times in the Figure 2 sweep; with numpy present the whole
-    bank advances through one :func:`~repro.perf.batched.banked_replay`.
+    millions of times in the Figure 2 sweep; long traces advance the whole
+    bank through one :func:`~repro.perf.batched.banked_replay`.
     """
     batched_stats = _banked_confidence(indices, bits, machine, label)
     if batched_stats is not None:

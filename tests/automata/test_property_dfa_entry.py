@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.automata.dfa as dfa_mod
 from repro.automata.dfa import subset_construct
 from repro.automata.nfa import EPSILON, NFA
-
-numpy = pytest.importorskip("numpy")
 
 
 @st.composite
@@ -104,27 +101,3 @@ def test_subset_dedup_on_large_nfa_with_duplicate_subsets():
     assert fast.start == reference.start
     assert fast.accepts == reference.accepts
     assert fast.transitions == reference.transitions
-
-
-def test_repro_batch_disables_entry_path(monkeypatch):
-    """REPRO_BATCH=0 must pin the bignum worklist even above threshold."""
-    rng = random.Random(3)
-    n = 12
-    transitions = {}
-    for state in range(n):
-        transitions[(state, "0")] = frozenset({rng.randrange(n)})
-        transitions[(state, "1")] = frozenset({rng.randrange(n), 0})
-    nfa = NFA(
-        num_states=n,
-        alphabet=("0", "1"),
-        start=0,
-        accepts=frozenset({n - 1}),
-        transitions=transitions,
-    )
-    monkeypatch.setattr(dfa_mod, "_ENTRY_THRESHOLD", 1)
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    slow = subset_construct(nfa)
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    fast = subset_construct(nfa)
-    assert slow.transitions == fast.transitions
-    assert slow.accepts == fast.accepts

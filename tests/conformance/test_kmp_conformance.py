@@ -24,8 +24,8 @@ class TestPinnedCorpus:
         assert check_kmp_corpus() == []
 
     def test_cases_fit_the_pure_python_oracle_budget(self):
-        # The no-numpy CI leg runs this check with the exhaustive
-        # oracle; every pinned chain must stay within its reach.
+        # Check #11 runs the exhaustive opt(k) oracle at each case's
+        # k_needed; every pinned chain must stay inside its small-k budget.
         for case in CASES:
             _rate, k_needed = create_source(case.spec).closed_form()
             assert k_needed <= 3, case.name

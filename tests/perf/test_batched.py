@@ -3,8 +3,9 @@
 ``BatchedMoore`` must agree with per-machine ``CompiledMoore``/
 ``MooreMachine.trace_outputs`` for arbitrary stacks (heterogeneous state
 counts, ragged padding, empty traces, single-machine stacks), and
-``banked_replay`` with its per-event reference loop for arbitrary index
-streams, masks, and per-entry initial states.  The predictor
+``banked_replay`` with its per-event reference loop
+(:func:`repro.conformance.oracles.oracle_banked_replay`) for arbitrary
+index streams, masks, and per-entry initial states.  The predictor
 ``_batch_simulate`` fast paths must be bit-identical to the serial
 simulation loop, stats *and* post-simulation predictor state.
 """
@@ -13,21 +14,20 @@ from __future__ import annotations
 
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.perf.batched
 from repro.automata.moore import MooreMachine
+from repro.conformance.oracles import oracle_banked_replay
 from repro.perf.batched import (
     BATCH_THRESHOLD,
     BatchedMoore,
-    _banked_replay_py,
     backend_info,
     banked_replay,
-    batch_enabled,
     simulate_predictors_batched,
 )
-
-numpy = pytest.importorskip("numpy")
 
 
 def _random_machine(rng: random.Random, num_states: int) -> MooreMachine:
@@ -88,17 +88,6 @@ def test_batched_moore_matches_per_machine(stack):
         text = "".join(map(str, bits))
         assert list(outs[m]) == machine.trace_outputs(text)
         assert finals[m] == (expected[-1] if expected else machine.start)
-
-
-@settings(max_examples=30, deadline=None)
-@given(machine_stacks())
-def test_batched_moore_matches_pure_python_fallback(stack):
-    machines, bits = stack
-    batched = BatchedMoore(machines)
-    slow = batched._run_states_slow(bits)
-    fast = batched.run_states(bits)
-    for m in range(len(machines)):
-        assert list(fast[m]) == slow[m]
 
 
 def test_long_stream_chunked_scan_matches_compiled():
@@ -178,12 +167,12 @@ def test_banked_replay_matches_reference(case):
         transitions, start, indices, bits, update_mask=mask,
         entry_initial=entry_initial,
     )
-    want = _banked_replay_py(
+    entries, pre_states, final_states = oracle_banked_replay(
         transitions, start, indices, bits, mask, entry_initial
     )
-    assert list(got.entries) == list(want.entries)
-    assert list(got.pre_states) == list(want.pre_states)
-    assert list(got.final_states) == list(want.final_states)
+    assert list(got.entries) == entries
+    assert list(got.pre_states) == pre_states
+    assert list(got.final_states) == final_states
 
 
 # ----------------------------------------------------------------------
@@ -210,13 +199,19 @@ def _synthetic_trace(n: int, seed: int = 5):
     return Trace()
 
 
+def _force_loop(monkeypatch):
+    """Raise the size cutover past any trace: every consumer takes its
+    per-event loop."""
+    monkeypatch.setattr(repro.perf.batched, "BATCH_THRESHOLD", 10**9)
+
+
 def _simulate_both(monkeypatch, make_predictor, trace, warmup=0):
     from repro.predictors.base import simulate_predictor
 
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    serial = make_predictor()
-    serial_stats = simulate_predictor(serial, trace, warmup=warmup)
-    monkeypatch.setenv("REPRO_BATCH", "1")
+    with monkeypatch.context() as patch:
+        _force_loop(patch)
+        serial = make_predictor()
+        serial_stats = simulate_predictor(serial, trace, warmup=warmup)
     batched = make_predictor()
     batched_stats = simulate_predictor(batched, trace, warmup=warmup)
     assert (serial_stats.lookups, serial_stats.hits) == (
@@ -280,11 +275,16 @@ def test_simulate_predictors_batched_matches_loop(monkeypatch):
     from repro.predictors.gshare import GSharePredictor
 
     trace = _synthetic_trace(BATCH_THRESHOLD + 10)
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    want = [
-        simulate_predictor(GSharePredictor(bits), trace) for bits in (4, 6, 8)
-    ]
-    monkeypatch.setenv("REPRO_BATCH", "1")
+    assert (
+        GSharePredictor(4)._batch_simulate(trace.pcs, trace.outcomes, 0)
+        is not None
+    )
+    with monkeypatch.context() as patch:
+        _force_loop(patch)
+        want = [
+            simulate_predictor(GSharePredictor(bits), trace)
+            for bits in (4, 6, 8)
+        ]
     got = simulate_predictors_batched(
         [GSharePredictor(bits) for bits in (4, 6, 8)], trace
     )
@@ -294,24 +294,12 @@ def test_simulate_predictors_batched_matches_loop(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Knobs and metadata
+# Metadata
 # ----------------------------------------------------------------------
-
-def test_repro_batch_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    assert not batch_enabled()
-    monkeypatch.setenv("REPRO_BATCH", "off")
-    assert not batch_enabled()
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert batch_enabled()
-    monkeypatch.delenv("REPRO_BATCH")
-    assert batch_enabled()
-
 
 def test_backend_info_names_numpy():
     info = backend_info()
     assert info["backend"].startswith("numpy-")
-    assert isinstance(info["batch_enabled"], bool)
 
 
 def test_design_flow_cache_salt_covers_batched_kernels():

@@ -9,12 +9,11 @@ kernel is most likely to get wrong).
 import pickle
 import random
 
+import numpy
 import pytest
 
 from repro.automata.moore import MooreMachine
 from repro.perf.compiled import CompiledMoore
-
-numpy = pytest.importorskip("numpy")
 
 
 def _random_machine(rng: random.Random, num_states: int) -> MooreMachine:

@@ -170,8 +170,6 @@ class TestOracleSemantics:
             assert optimal_mispredicts(bits, 3) == _optima(bits, 3)[3].mispredicts
 
     def test_numpy_and_python_kernels_agree(self):
-        numpy = pytest.importorskip("numpy")
-        del numpy
         from repro.predictors.optimal import (
             _evaluate_numpy,
             _evaluate_python,

@@ -8,15 +8,14 @@ that implements ``_batch_simulate``, across warmups including
 ``warmup >= len(trace)``.
 """
 
-import contextlib
-import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.batched import BATCH_THRESHOLD, numpy_available
+import repro.perf.batched
+from repro.perf.batched import BATCH_THRESHOLD
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.local_global import LocalGlobalChooser
 from repro.predictors.base import simulate_predictor
@@ -60,40 +59,22 @@ def _snapshot(obj, _depth=0):
     return repr(obj)
 
 
-@contextlib.contextmanager
-def _env(key, value):
-    old = os.environ.get(key)
-    try:
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = old
-
-
 def _run_both(name, trace, warmup):
     """(serial stats, serial state), (batched stats, batched state)."""
     make = PREDICTOR_FACTORIES[name]
-    with _env("REPRO_BATCH", "0"):
+    with pytest.MonkeyPatch.context() as patch:
+        # A cutover past any trace forces the per-branch loop.
+        patch.setattr(repro.perf.batched, "BATCH_THRESHOLD", 10**9)
         serial = make()
         serial_stats = simulate_predictor(serial, trace, warmup=warmup)
-    with _env("REPRO_BATCH", None):
-        batched = make()
-        batched_stats = simulate_predictor(batched, trace, warmup=warmup)
+    # The fast path must not silently decline, or the comparison below
+    # would be loop vs loop.
+    assert make()._batch_simulate(trace.pcs, trace.outcomes, warmup) is not None
+    batched = make()
+    batched_stats = simulate_predictor(batched, trace, warmup=warmup)
     return (serial_stats, _snapshot(serial)), (batched_stats, _snapshot(batched))
 
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="batched path requires numpy"
-)
-
-
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
 @pytest.mark.parametrize("warmup", [1, 7, N // 2, N - 1, N, N + 13])
 def test_warmup_parity_stats_and_state(name, warmup):
@@ -105,7 +86,6 @@ def test_warmup_parity_stats_and_state(name, warmup):
         assert b_stats.lookups == 0  # fully warmed up: nothing counted
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**16), warmup=st.integers(0, N + 64))

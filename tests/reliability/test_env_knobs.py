@@ -26,7 +26,6 @@ from repro.conformance import fuzz as fuzz_mod
 from repro.conformance import golden as golden_mod
 from repro.harness import reporting as reporting_mod
 from repro.obs import tracing as tracing_mod
-from repro.perf import batched as batched_mod
 from repro.perf import cache as cache_mod
 from repro.perf import parallel as parallel_mod
 from repro.reliability import durability as durability_mod
@@ -84,12 +83,6 @@ KNOB_CASES = [
         "1.5",
         parallel_mod._hang_seconds,
         lambda value: value == pytest.approx(1.5),
-    ),
-    (
-        "REPRO_BATCH",
-        "0",
-        batched_mod.batch_enabled,
-        lambda value: value is False,
     ),
     (
         "REPRO_TRACE_FILE",
