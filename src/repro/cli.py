@@ -115,6 +115,25 @@ def _read_trace(path: Optional[str]) -> List[int]:
     return [int(ch) for ch in bits]
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a number of seconds that must be above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _given(**fields):
+    """The flags the user actually passed (argparse leaves the rest
+    ``None``), so config dataclasses keep their own defaults."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 def _cmd_design(args: argparse.Namespace) -> int:
     trace = _read_trace(args.trace_file)
     result = design_predictor(
@@ -221,14 +240,14 @@ def _resolved_source(args: argparse.Namespace):
     """Canonicalize ``--source``/``--length``/``--seed`` once, so run-id
     derivation, fingerprints, and generation all agree."""
     from repro.workloads.sources import (
+        DEFAULT_LENGTH,
+        DEFAULT_SEED,
         create_source,
-        source_length,
-        source_seed,
     )
 
     source = create_source(args.source)
-    length = source_length() if args.length is None else int(args.length)
-    seed = source_seed() if args.seed is None else int(args.seed)
+    length = DEFAULT_LENGTH if args.length is None else int(args.length)
+    seed = DEFAULT_SEED if args.seed is None else int(args.seed)
     return source, source.spec_string(), length, seed
 
 
@@ -282,7 +301,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             run_fig5_source,
         )
 
-        modern = False if args.no_modern else None
+        modern = not args.no_modern
         if args.source:
             _source, spec_string, length, seed = _resolved_source(args)
             result = run_fig5_source(
@@ -491,12 +510,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             sys.stdout.write(canonical_json(payload).decode("utf-8") + "\n")
         return 0
 
-    config = ServeConfig.from_env(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue,
-        deadline_s=args.deadline,
+    config = ServeConfig(
+        **_given(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_limit=args.queue,
+            deadline_s=args.deadline,
+        )
     )
 
     async def _serve() -> int:
@@ -553,32 +574,26 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
 
     from repro.serve.cluster.config import RouterConfig, parse_replica_spec
 
-    replicas = None
-    if args.replicas is not None:
-        try:
-            replicas = parse_replica_spec(args.replicas)
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
     try:
-        config = RouterConfig.from_env(
-            host=args.host,
-            port=args.port,
-            replicas=replicas,
-            queue_limit=args.queue,
-            probe_interval=args.probe_interval,
-            eject_fails=args.eject_fails,
-            retries=args.retries,
-            hedge_floor=args.hedge_floor,
-            hedge_cap=args.hedge_cap,
+        config = RouterConfig(
+            **_given(
+                host=args.host,
+                port=args.port,
+                replicas=parse_replica_spec(args.replicas or ""),
+                queue_limit=args.queue,
+                probe_interval_s=args.probe_interval,
+                eject_after=args.eject_fails,
+                retry_budget=args.retries,
+                hedge_floor_s=args.hedge_floor,
+                hedge_cap_s=args.hedge_cap,
+            )
         )
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     if not config.replicas:
         print(
-            "repro: error: serve-router needs --replicas host:port[,...] "
-            "(or REPRO_ROUTER_REPLICAS)",
+            "repro: error: serve-router needs --replicas host:port[,...]",
             file=sys.stderr,
         )
         return 2
@@ -640,9 +655,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             from repro.serve.config import ServeConfig
             from repro.serve.server import DesignServer
 
-            server = DesignServer(
-                ServeConfig.from_env(host="127.0.0.1", port=0)
-            )
+            server = DesignServer(ServeConfig(host="127.0.0.1", port=0))
             await server.start()
             host, port = "127.0.0.1", server.port
         try:
@@ -758,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help=(
             "fig2: gap-to-optimal column vs the exact optimal K-state "
-            "predictor (0 disables; default REPRO_OPT_KMAX or 4)"
+            "predictor (0 disables; default 4)"
         ),
     )
     figures.add_argument(
@@ -777,13 +790,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--length",
         type=int,
         default=None,
-        help="--source event count (default $REPRO_SOURCE_LENGTH or 20000)",
+        help="--source event count (default 20000)",
     )
     figures.add_argument(
         "--seed",
         type=int,
         default=None,
-        help="--source generation seed (default $REPRO_SOURCE_SEED or 0)",
+        help="--source generation seed (default 0)",
     )
     figures.set_defaults(func=_cmd_figures)
 
@@ -802,13 +815,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--length",
         type=int,
         default=None,
-        help="number of branch events (default $REPRO_SOURCE_LENGTH or 20000)",
+        help="number of branch events (default 20000)",
     )
     trace_cmd.add_argument(
         "--seed",
         type=int,
         default=None,
-        help="generation seed (default $REPRO_SOURCE_SEED or 0)",
+        help="generation seed (default 0)",
     )
     trace_cmd.add_argument(
         "--pcs",
@@ -892,27 +905,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--port",
         type=int,
         default=None,
-        help="listen port (0 = ephemeral; default $REPRO_SERVE_PORT or 7477)",
+        help="listen port (0 = ephemeral; default 7477)",
     )
     serve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="pool worker processes (default $REPRO_SERVE_WORKERS or 2)",
+        help="pool worker processes (default 2)",
     )
     serve.add_argument(
         "--queue",
         type=int,
         default=None,
-        help="admission queue depth before load shedding "
-        "(default $REPRO_SERVE_QUEUE or 64)",
+        help="admission queue depth before load shedding (default 64)",
     )
     serve.add_argument(
         "--deadline",
-        type=float,
+        type=_positive_float,
         default=None,
-        help="default per-request deadline in seconds "
-        "(default $REPRO_SERVE_DEADLINE or 30)",
+        help="default per-request deadline in seconds (default 30)",
     )
     serve.add_argument(
         "--oneshot",
@@ -933,57 +944,54 @@ def build_parser() -> argparse.ArgumentParser:
         "--port",
         type=int,
         default=None,
-        help="listen port (0 = ephemeral; default $REPRO_ROUTER_PORT or 7478)",
+        help="listen port (0 = ephemeral; default 7478)",
     )
     router.add_argument(
         "--replicas",
         default=None,
         metavar="HOST:PORT[,...]",
-        help="replica endpoints (default $REPRO_ROUTER_REPLICAS)",
+        help="replica endpoints (required)",
     )
     router.add_argument(
         "--queue",
         type=int,
         default=None,
-        help="router admission bound before load shedding "
-        "(default $REPRO_ROUTER_QUEUE or 256)",
+        help="router admission bound before load shedding (default 256)",
     )
     router.add_argument(
         "--probe-interval",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
-        help="seconds between replica healthz probes "
-        "(default $REPRO_ROUTER_PROBE_INTERVAL or 1.0)",
+        help="seconds between replica healthz probes (default 1.0)",
     )
     router.add_argument(
         "--eject-fails",
         type=int,
         default=None,
         help="consecutive probe failures before a replica is ejected "
-        "(default $REPRO_ROUTER_EJECT_FAILS or 2)",
+        "(default 2)",
     )
     router.add_argument(
         "--retries",
         type=int,
         default=None,
-        help="upstream dispatch attempts per request "
-        "(default $REPRO_ROUTER_RETRIES or 3)",
+        help="upstream dispatch attempts per request (default 3)",
     )
     router.add_argument(
         "--hedge-floor",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
-        help="minimum hedge delay (default $REPRO_ROUTER_HEDGE_FLOOR or 0.05)",
+        help="minimum hedge delay in seconds (default 0.05)",
     )
     router.add_argument(
         "--hedge-cap",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
-        help="maximum hedge delay and pre-sample default "
-        "(default $REPRO_ROUTER_HEDGE_CAP or 2.0)",
+        help="maximum hedge delay and pre-sample default, in seconds; "
+        "not below --hedge-floor (default 2.0)",
     )
     router.set_defaults(func=_cmd_serve_router)
 

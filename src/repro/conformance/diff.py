@@ -331,16 +331,15 @@ def check_conformance(
         # k-state predictor oracle at its own size.  A violation means
         # either the pipeline miscounted its machine's predictions or the
         # oracle's exhaustive search is wrong -- both are bugs worth a
-        # divergence.  Skipped for machines larger than the searchable
-        # ``REPRO_OPT_KMAX`` (the bound only applies at sizes the oracle
+        # divergence.  Skipped for machines larger than the oracle's
+        # default size (the bound only applies at sizes the oracle
         # actually searched) and for very long traces.
-        from repro.predictors.optimal import opt_kmax, optimal_predictors
+        from repro.predictors.optimal import DEFAULT_KMAX, optimal_predictors
 
-        kmax = opt_kmax()
         num_states = art.final.num_states
         if (
             trace
-            and num_states <= kmax
+            and num_states <= DEFAULT_KMAX
             and len(trace) <= OPTIMAL_CHECK_MAX_BITS
         ):
             hits, lookups = oracles.oracle_prediction_counts(art.final, trace)

@@ -340,10 +340,10 @@ def check_oracle_corpus(kmax: Optional[int] = None) -> List[str]:
 
     Returns human-readable violations; empty means the corpus conforms.
     """
-    from repro.predictors.optimal import opt_kmax, optimal_predictors
+    from repro.predictors.optimal import DEFAULT_KMAX, optimal_predictors
 
     if kmax is None:
-        kmax = opt_kmax()
+        kmax = DEFAULT_KMAX
     issues: List[str] = []
     for case in golden_corpus():
         art = run_stages(

@@ -151,12 +151,12 @@ def _cross_trained_model(
 
 
 def _resolve_gap_kmax(gap_kmax: Optional[int]) -> int:
-    """``None`` -> the environment default (``REPRO_OPT_KMAX``), ``0`` or
-    negative -> disabled, otherwise clamped to the oracle's hard cap."""
-    from repro.predictors.optimal import MAX_KMAX, opt_kmax
+    """``None`` -> the oracle's default size, ``0`` or negative ->
+    disabled, otherwise clamped to the oracle's hard cap."""
+    from repro.predictors.optimal import DEFAULT_KMAX, MAX_KMAX
 
     if gap_kmax is None:
-        return opt_kmax()
+        return DEFAULT_KMAX
     if gap_kmax <= 0:
         return 0
     return min(gap_kmax, MAX_KMAX)
@@ -220,7 +220,7 @@ def run_fig2_benchmark(
     also deployed as a plain next-bit predictor over the benchmark's own
     correctness stream and compared against the exhaustive optimal k-state
     predictor (k = min(machine states, gap_kmax)).  ``0`` disables the
-    column; ``None`` uses the ``REPRO_OPT_KMAX`` default.
+    column; ``None`` uses the oracle's default size (4).
     """
     if traces is None:
         traces = _correctness_traces(VALUE_BENCHMARKS, "train", num_loads)
@@ -305,16 +305,16 @@ def run_fig2_source(
     sources or configurations can never replay into each other.
     """
     from repro.workloads.sources import (
+        DEFAULT_LENGTH,
+        DEFAULT_SEED,
         create_source,
-        source_length,
-        source_seed,
         source_trace,
     )
 
     source = create_source(spec)
     spec_string = source.spec_string()
-    length = source_length() if length is None else int(length)
-    seed = source_seed() if seed is None else int(seed)
+    length = DEFAULT_LENGTH if length is None else int(length)
+    seed = DEFAULT_SEED if seed is None else int(seed)
     trace = source_trace(spec_string, length, seed)
     indices = list(trace.pcs)
     bits = trace.outcome_bits()

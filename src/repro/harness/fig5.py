@@ -12,8 +12,8 @@ five series:
 * ``custom-diff`` -- trained on a different input (the honest result).
 
 Beyond the paper, two *modern-regime* series situate the 2001 frontier
-against later predictor families (gate with ``modern=False`` or
-``REPRO_MODERN=0``, or ``--no-modern`` on the CLI):
+against later predictor families (gate with ``modern=False``, or
+``--no-modern`` on the CLI):
 
 * ``tage``       -- a small TAGE over a range of table index widths;
 * ``perceptron`` -- a hashed perceptron over a range of table sizes.
@@ -55,14 +55,6 @@ DEFAULT_CUSTOM_COUNTS: Tuple[int, ...] = (1, 2, 3, 4, 6, 8, 10, 12, 16, 20)
 DEFAULT_TAGE_BITS: Tuple[int, ...] = (8, 10, 12)
 DEFAULT_PERCEPTRON_ROWS: Tuple[int, ...] = (128, 256, 512)
 
-
-def modern_default() -> bool:
-    """Modern-regime series default: on unless ``REPRO_MODERN`` is a
-    falsy value (``0``, ``false``, ``no``, ``off``)."""
-    import os
-
-    raw = os.environ.get("REPRO_MODERN", "").strip().lower()
-    return raw not in ("0", "false", "no", "off")
 
 # Every predictor needs a BTB for branch targets; the paper's Figure 5
 # x-axis is "the total area of the predictor, including the BTB structure",
@@ -298,14 +290,12 @@ def run_fig5_benchmark(
     lgc_bits: Sequence[int] = DEFAULT_LGC_BITS,
     custom_counts: Sequence[int] = DEFAULT_CUSTOM_COUNTS,
     history_length: int = CUSTOM_HISTORY_LENGTH,
-    modern: Optional[bool] = None,
+    modern: bool = True,
     tage_bits: Sequence[int] = DEFAULT_TAGE_BITS,
     perceptron_rows: Sequence[int] = DEFAULT_PERCEPTRON_ROWS,
 ) -> FigureFiveResult:
     """All five paper series of one Figure 5 panel, plus the modern-regime
     ``tage``/``perceptron`` series unless disabled."""
-    if modern is None:
-        modern = modern_default()
     eval_trace = branch_trace(benchmark, "eval", max_branches)
     train_trace = branch_trace(benchmark, "train", max_branches)
     series = _panel_series(
@@ -330,7 +320,7 @@ def run_fig5_source(
     lgc_bits: Sequence[int] = DEFAULT_LGC_BITS,
     custom_counts: Sequence[int] = DEFAULT_CUSTOM_COUNTS,
     history_length: int = CUSTOM_HISTORY_LENGTH,
-    modern: Optional[bool] = None,
+    modern: bool = True,
     tage_bits: Sequence[int] = DEFAULT_TAGE_BITS,
     perceptron_rows: Sequence[int] = DEFAULT_PERCEPTRON_ROWS,
 ) -> FigureFiveResult:
@@ -343,18 +333,16 @@ def run_fig5_source(
     for purely seeded sources.
     """
     from repro.workloads.sources import (
+        DEFAULT_LENGTH,
+        DEFAULT_SEED,
         create_source,
-        source_length,
-        source_seed,
         source_trace,
     )
 
-    if modern is None:
-        modern = modern_default()
     source = create_source(spec)
     spec_string = source.spec_string()
-    length = source_length() if length is None else int(length)
-    seed = source_seed() if seed is None else int(seed)
+    length = DEFAULT_LENGTH if length is None else int(length)
+    seed = DEFAULT_SEED if seed is None else int(seed)
     eval_trace = source_trace(spec_string, length, seed)
     counterpart = source.training_counterpart()
     train_seed = seed
@@ -386,10 +374,10 @@ def run_fig5(
     from repro.reliability.durability import durable_map
 
     names = list(benchmarks)
-    # Resolve the modern-series gate before fingerprinting so a cached
-    # sweep is never replayed under a different REPRO_MODERN setting.
+    # Fingerprint the modern-series gate explicitly, so a default call
+    # and an explicit ``modern=True`` share one journal.
     if kwargs.get("modern") is None:
-        kwargs["modern"] = modern_default()
+        kwargs["modern"] = True
     # One shard per benchmark panel; ordering (and therefore output) is
     # identical to the serial comprehension this replaces.  With run_id
     # each completed panel is journaled, so a killed sweep resumes with

@@ -115,14 +115,6 @@ def task_retries() -> int:
     return max(0, retries)
 
 
-def _hang_seconds() -> float:
-    raw = os.environ.get("REPRO_FAULT_HANG_SECONDS", "30")
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return 30.0
-
-
 def _pool_call(fn: Callable[[T], R], item: T):
     """Runs inside a pool worker; hosts the worker-side fault points.
 
@@ -135,7 +127,7 @@ def _pool_call(fn: Callable[[T], R], item: T):
     """
     faults.fire("worker_crash")
     if faults.should_fire("worker_hang"):
-        time.sleep(_hang_seconds())
+        time.sleep(faults.hang_seconds())
     before = metrics().snapshot()
     with trace_span("parallel.task", where="worker"):
         value = fn(item)

@@ -41,16 +41,13 @@ traces use a plain python loop.  Per-(trace, k) results are memoized in
 the content-addressed cache keyed by trace digest, and the exactly-k
 sweep is sharded through ``durable_map`` so a killed run resumes.
 
-Knobs:
-
-- ``REPRO_OPT_KMAX`` -- largest machine size searched (default 4,
-  capped at :data:`MAX_KMAX`; k=5 costs ~30x k=4).
+The searched size defaults to :data:`DEFAULT_KMAX` (4); callers pass
+``kmax`` up to :data:`MAX_KMAX` (k=5 costs ~30x k=4).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -77,16 +74,6 @@ SHARD_SIZE = 1024
 
 #: Above this many (bits x structures) steps the numpy kernel takes over.
 _NUMPY_CUTOVER = 200_000
-
-
-def opt_kmax() -> int:
-    """The ``REPRO_OPT_KMAX`` knob, clamped to [1, MAX_KMAX]."""
-    raw = os.environ.get("REPRO_OPT_KMAX", "").strip()
-    try:
-        value = int(raw) if raw else DEFAULT_KMAX
-    except ValueError:
-        value = DEFAULT_KMAX
-    return max(1, min(value, MAX_KMAX))
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +276,7 @@ def optimal_predictors(
     if any(b not in (0, 1) for b in bits):
         raise ValueError("trace bits must be 0/1")
     if kmax is None:
-        kmax = opt_kmax()
+        kmax = DEFAULT_KMAX
     if not 1 <= kmax <= MAX_KMAX:
         raise ValueError(f"kmax must be in [1, {MAX_KMAX}], got {kmax}")
     trace_digest = digest_of(bits)

@@ -223,6 +223,16 @@ def fire_kill(point: str) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def hang_seconds() -> float:
+    """How long an armed ``worker_hang``/``serve_worker_hang`` sleeps
+    (``REPRO_FAULT_HANG_SECONDS``, default 30; junk falls back to 30)."""
+    raw = os.environ.get("REPRO_FAULT_HANG_SECONDS", "30")
+    try:
+        return max(0.0, float(raw))
+    except ValueError:
+        return 30.0
+
+
 def plan_rng() -> Optional[random.Random]:
     """The active plan's PRNG (for order-shuffling faults); None when
     faults are disabled."""

@@ -339,9 +339,7 @@ def _check_serving() -> str:
 
     async def scenario():
         server = DesignServer(
-            ServeConfig.from_env(
-                host="127.0.0.1", port=0, workers=1, queue_limit=8
-            )
+            ServeConfig(host="127.0.0.1", port=0, workers=1, queue_limit=8)
         )
         await server.start()
         try:

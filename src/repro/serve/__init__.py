@@ -7,7 +7,7 @@ HDL, and area come out.  The layer cake, bottom to top:
 ``jobs``      the request dataclass + the pure executor shared by the
               server, the batch ``--oneshot`` path, and the checker
 ``protocol``  newline-delimited canonical-JSON wire format
-``config``    ``REPRO_SERVE_*`` knobs (read at call time)
+``config``    :class:`ServeConfig`, filled from the ``serve`` flags
 ``breaker``   circuit breakers (closed / open / half-open)
 ``pool``      supervised worker processes: crash containment,
               exactly-once re-dispatch, hang watchdog, backoff respawn

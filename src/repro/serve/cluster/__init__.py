@@ -6,7 +6,7 @@ same-digest request pays a full round trip unless it hits the on-disk
 cache.  This package is the layer that exploits the idempotency the
 content-addressed cache and single-flight locks already guarantee:
 
-``config``    ``REPRO_ROUTER_*`` knobs (read at call time, CLI overrides)
+``config``    :class:`RouterConfig`, filled from the ``serve-router`` flags
 ``client``    resilient keep-alive client: connection pooling, reconnect
               with jittered exponential backoff, per-request retry budget
 ``coalesce``  in-router single-flight: concurrent same-digest requests

@@ -1,40 +1,38 @@
-"""Cluster-router knobs.
+"""Cluster-router configuration.
 
-Same discipline as :mod:`repro.serve.config`: every knob re-reads the
-environment at call time, and the CLI's ``serve-router`` flags override
-per-field through :meth:`RouterConfig.from_env`.
+:class:`RouterConfig` holds every setting of one ``repro serve-router``
+process.  The CLI's ``serve-router`` flags fill it; anything not given on
+the command line keeps the field default below.
 
-===============================  =========  ================================
-``REPRO_ROUTER_HOST``            127.0.0.1  router listen address
-``REPRO_ROUTER_PORT``            7478       router listen port (0=ephemeral)
-``REPRO_ROUTER_REPLICAS``        (none)     comma-separated ``host:port``
-                                            replica endpoints
-``REPRO_ROUTER_QUEUE``           256        admitted-but-unresolved bound;
-                                            beyond it requests shed with 503
-``REPRO_ROUTER_PROBE_INTERVAL``  1.0        seconds between healthz probes
-                                            per replica
-``REPRO_ROUTER_LEASE``           3x probe   seconds one successful probe
-                                            keeps a replica admitted
-``REPRO_ROUTER_EJECT_FAILS``     2          consecutive probe failures
-                                            before a replica is ejected
-``REPRO_ROUTER_RETRIES``         3          upstream dispatch attempts per
-                                            request before giving up
-``REPRO_ROUTER_HEDGE_FLOOR``     0.05       minimum hedge delay (seconds)
-``REPRO_ROUTER_HEDGE_CAP``       2.0        maximum hedge delay (seconds);
-                                            also the pre-sample default
-``REPRO_ROUTER_CONNECT_TIMEOUT`` 1.0        seconds to wait for a replica
-                                            TCP connect
-``REPRO_ROUTER_DRAIN``           30         graceful-drain budget (s)
-===============================  =========  ================================
+=====================  =========  ==========================================
+``host``               127.0.0.1  router listen address (``--host``)
+``port``               7478       router listen port, 0 = ephemeral
+                                  (``--port``)
+``replicas``           (none)     ``host:port`` replica endpoints
+                                  (``--replicas``)
+``queue_limit``        256        admitted-but-unresolved bound; beyond it
+                                  requests shed with 503 (``--queue``)
+``probe_interval_s``   1.0        seconds between healthz probes per
+                                  replica (``--probe-interval``)
+``lease_s``            3x probe   seconds one successful probe keeps a
+                                  replica admitted
+``eject_after``        2          consecutive probe failures before a
+                                  replica is ejected (``--eject-fails``)
+``retry_budget``       3          upstream dispatch attempts per request
+                                  before giving up (``--retries``)
+``hedge_floor_s``      0.05       minimum hedge delay in seconds
+                                  (``--hedge-floor``)
+``hedge_cap_s``        2.0        maximum hedge delay in seconds, also the
+                                  pre-sample default (``--hedge-cap``)
+``connect_timeout_s``  1.0        seconds to wait for a replica TCP connect
+``drain_timeout_s``    30         graceful-drain budget (s)
+=====================  =========  ==========================================
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-from repro.serve.config import _env_float, _env_int
+from typing import Optional, Tuple
 
 
 def parse_replica_spec(spec: str) -> Tuple[Tuple[str, int], ...]:
@@ -62,72 +60,21 @@ def parse_replica_spec(spec: str) -> Tuple[Tuple[str, int], ...]:
     return tuple(endpoints)
 
 
-def router_host() -> str:
-    return os.environ.get("REPRO_ROUTER_HOST", "").strip() or "127.0.0.1"
-
-
-def router_port() -> int:
-    return _env_int("REPRO_ROUTER_PORT", 7478, minimum=0)
-
-
-def router_replicas() -> Tuple[Tuple[str, int], ...]:
-    return parse_replica_spec(os.environ.get("REPRO_ROUTER_REPLICAS", ""))
-
-
-def router_queue_limit() -> int:
-    return _env_int("REPRO_ROUTER_QUEUE", 256)
-
-
-def probe_interval_s() -> float:
-    return _env_float("REPRO_ROUTER_PROBE_INTERVAL", 1.0)
-
-
-def lease_s() -> Optional[float]:
-    """Lease length; ``None`` means "3x the probe interval"."""
-    raw = os.environ.get("REPRO_ROUTER_LEASE", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def eject_after() -> int:
-    return _env_int("REPRO_ROUTER_EJECT_FAILS", 2)
-
-
-def retry_budget() -> int:
-    return _env_int("REPRO_ROUTER_RETRIES", 3)
-
-
-def hedge_floor_s() -> float:
-    return _env_float("REPRO_ROUTER_HEDGE_FLOOR", 0.05)
-
-
-def hedge_cap_s() -> float:
-    return _env_float("REPRO_ROUTER_HEDGE_CAP", 2.0)
-
-
-def connect_timeout_s() -> float:
-    return _env_float("REPRO_ROUTER_CONNECT_TIMEOUT", 1.0)
-
-
-def router_drain_s() -> float:
-    return _env_float("REPRO_ROUTER_DRAIN", 30.0)
-
-
 @dataclass(frozen=True)
 class RouterConfig:
-    """One resolved router configuration (env defaults + CLI overrides)."""
+    """One resolved router configuration.
+
+    ``lease_s`` left at ``None`` becomes three probe intervals, and a
+    lease is never shorter than one probe interval.  A hedge cap below
+    the hedge floor raises :class:`ValueError`.
+    """
 
     host: str = "127.0.0.1"
     port: int = 7478
     replicas: Tuple[Tuple[str, int], ...] = ()
     queue_limit: int = 256
     probe_interval_s: float = 1.0
-    lease_s: float = 3.0
+    lease_s: Optional[float] = None
     eject_after: int = 2
     retry_budget: int = 3
     hedge_floor_s: float = 0.05
@@ -135,58 +82,20 @@ class RouterConfig:
     connect_timeout_s: float = 1.0
     drain_timeout_s: float = 30.0
 
-    @classmethod
-    def from_env(
-        cls,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        replicas: Optional[Sequence[Tuple[str, int]]] = None,
-        queue_limit: Optional[int] = None,
-        probe_interval: Optional[float] = None,
-        lease: Optional[float] = None,
-        eject_fails: Optional[int] = None,
-        retries: Optional[int] = None,
-        hedge_floor: Optional[float] = None,
-        hedge_cap: Optional[float] = None,
-        connect_timeout: Optional[float] = None,
-        drain_timeout: Optional[float] = None,
-    ) -> "RouterConfig":
-        interval = (
-            probe_interval if probe_interval is not None else probe_interval_s()
-        )
-        lease_value = lease if lease is not None else lease_s()
-        if lease_value is None:
-            lease_value = 3.0 * interval
-        return cls(
-            host=host if host is not None else router_host(),
-            port=port if port is not None else router_port(),
-            replicas=tuple(
-                replicas if replicas is not None else router_replicas()
-            ),
-            queue_limit=max(
-                1,
-                queue_limit
-                if queue_limit is not None
-                else router_queue_limit(),
-            ),
-            probe_interval_s=interval,
-            lease_s=max(interval, lease_value),
-            eject_after=max(
-                1, eject_fails if eject_fails is not None else eject_after()
-            ),
-            retry_budget=max(
-                1, retries if retries is not None else retry_budget()
-            ),
-            hedge_floor_s=(
-                hedge_floor if hedge_floor is not None else hedge_floor_s()
-            ),
-            hedge_cap_s=hedge_cap if hedge_cap is not None else hedge_cap_s(),
-            connect_timeout_s=(
-                connect_timeout
-                if connect_timeout is not None
-                else connect_timeout_s()
-            ),
-            drain_timeout_s=(
-                drain_timeout if drain_timeout is not None else router_drain_s()
-            ),
-        )
+    def __post_init__(self) -> None:
+        if self.hedge_cap_s < self.hedge_floor_s:
+            raise ValueError(
+                f"hedge cap {self.hedge_cap_s:g}s is below the hedge floor "
+                f"{self.hedge_floor_s:g}s"
+            )
+        lease = self.lease_s
+        if lease is None:
+            lease = 3.0 * self.probe_interval_s
+        for name, value in (
+            ("replicas", tuple(self.replicas)),
+            ("queue_limit", max(1, self.queue_limit)),
+            ("lease_s", max(self.probe_interval_s, lease)),
+            ("eject_after", max(1, self.eject_after)),
+            ("retry_budget", max(1, self.retry_budget)),
+        ):
+            object.__setattr__(self, name, value)

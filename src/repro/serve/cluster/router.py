@@ -44,10 +44,10 @@ from typing import Any, Deque, Dict, List, Optional, Set
 from repro.obs.metrics import metrics
 from repro.reliability.errors import ReproError
 from repro.serve import protocol
-from repro.serve.config import serve_deadline_s
 from repro.serve.cluster.coalesce import SingleFlight
 from repro.serve.cluster.config import RouterConfig
 from repro.serve.cluster.registry import Replica, ReplicaRegistry
+from repro.serve.config import ServeConfig
 from repro.serve.jobs import DesignRequest, classify_error
 from repro.serve.pool import close_fd_after_fork, forget_fd_after_fork
 
@@ -315,7 +315,7 @@ class ClusterRouter:
             deadline_s = (
                 request.deadline_s
                 if request.deadline_s is not None
-                else serve_deadline_s()
+                else ServeConfig.deadline_s
             )
             envelope, _coalesced = await self.flights.run(
                 key, lambda: self._dispatch(key, deadline_s)

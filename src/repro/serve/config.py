@@ -1,109 +1,39 @@
-"""Serving-layer knobs.
+"""Serving-layer configuration.
 
-Every knob is a function that re-reads the environment at call time (the
-repo-wide rule since the PR 2 ``REPRO_CACHE`` import-freeze bug): tests,
-CI drivers, and freshly restarted pool workers that flip a ``REPRO_SERVE_*``
-variable after import are always honoured.  The CLI's ``serve`` flags
-override these per-field via :meth:`ServeConfig.from_env`.
+:class:`ServeConfig` holds every setting of one ``repro serve`` process.
+The CLI's ``serve`` flags fill it; anything not given on the command
+line keeps the field default below.  Fields without a flag are changed
+by constructing the config directly (the tests and the selfcheck do).
 
-=============================  ==========  =================================
-``REPRO_SERVE_HOST``           127.0.0.1   listen address
-``REPRO_SERVE_PORT``           7477        listen port (0 = ephemeral)
-``REPRO_SERVE_WORKERS``        2           pool worker processes
-``REPRO_SERVE_QUEUE``          64          admission queue depth; beyond it
-                                           requests are shed with a 503
-``REPRO_SERVE_DEADLINE``       30          default per-request deadline (s)
-``REPRO_SERVE_STALL``          deadline    seconds a worker may sit on one
-                                           job with no result before it is
-                                           presumed hung and SIGKILLed
-``REPRO_SERVE_BREAKER_FAILS``  5           consecutive failures that trip a
-                                           circuit breaker
-``REPRO_SERVE_BREAKER_RESET``  5           seconds an open breaker waits
-                                           before half-opening
-``REPRO_SERVE_DRAIN``          30          graceful-drain budget (s) after
-                                           SIGTERM before in-flight work is
-                                           abandoned
-=============================  ==========  =================================
+=====================  ==========  =========================================
+``host``               127.0.0.1   listen address (``--host``)
+``port``               7477        listen port, 0 = ephemeral (``--port``)
+``workers``            2           pool worker processes (``--workers``)
+``queue_limit``        64          admission queue depth; beyond it
+                                   requests are shed with a 503 (``--queue``)
+``deadline_s``         30          default per-request deadline in seconds
+                                   (``--deadline``)
+``stall_s``            deadline    seconds a worker may sit on one job with
+                                   no result before it is presumed hung and
+                                   SIGKILLed
+``breaker_threshold``  5           consecutive failures that trip a circuit
+                                   breaker
+``breaker_reset_s``    5           seconds an open breaker waits before
+                                   half-opening
+``drain_timeout_s``    30          graceful-drain budget (s) after SIGTERM
+                                   before in-flight work is abandoned
+=====================  ==========  =========================================
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= minimum else default
-
-
-def serve_host() -> str:
-    return os.environ.get("REPRO_SERVE_HOST", "").strip() or "127.0.0.1"
-
-
-def serve_port() -> int:
-    """Listen port (``REPRO_SERVE_PORT``, default 7477; 0 = ephemeral)."""
-    return _env_int("REPRO_SERVE_PORT", 7477, minimum=0)
-
-
-def serve_workers() -> int:
-    return _env_int("REPRO_SERVE_WORKERS", 2)
-
-
-def serve_queue_limit() -> int:
-    """Admission queue depth (``REPRO_SERVE_QUEUE``, default 64)."""
-    return _env_int("REPRO_SERVE_QUEUE", 64)
-
-
-def serve_deadline_s() -> float:
-    return _env_float("REPRO_SERVE_DEADLINE", 30.0)
-
-
-def serve_stall_s() -> Optional[float]:
-    """Hang watchdog budget; ``None`` means "use the job's deadline"."""
-    raw = os.environ.get("REPRO_SERVE_STALL", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def breaker_threshold() -> int:
-    return _env_int("REPRO_SERVE_BREAKER_FAILS", 5)
-
-
-def breaker_reset_s() -> float:
-    return _env_float("REPRO_SERVE_BREAKER_RESET", 5.0)
-
-
-def drain_timeout_s() -> float:
-    return _env_float("REPRO_SERVE_DRAIN", 30.0)
-
-
 @dataclass(frozen=True)
 class ServeConfig:
-    """One resolved serving configuration (env defaults + CLI overrides)."""
+    """One resolved serving configuration."""
 
     host: str = "127.0.0.1"
     port: int = 7477
@@ -115,43 +45,9 @@ class ServeConfig:
     breaker_reset_s: float = 5.0
     drain_timeout_s: float = 30.0
 
-    @classmethod
-    def from_env(
-        cls,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        workers: Optional[int] = None,
-        queue_limit: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-        stall_s: Optional[float] = None,
-        breaker_threshold_n: Optional[int] = None,
-        breaker_reset: Optional[float] = None,
-        drain_timeout: Optional[float] = None,
-    ) -> "ServeConfig":
-        return cls(
-            host=host if host is not None else serve_host(),
-            port=port if port is not None else serve_port(),
-            workers=max(1, workers if workers is not None else serve_workers()),
-            queue_limit=max(
-                1,
-                queue_limit if queue_limit is not None else serve_queue_limit(),
-            ),
-            deadline_s=(
-                deadline_s if deadline_s is not None else serve_deadline_s()
-            ),
-            stall_s=stall_s if stall_s is not None else serve_stall_s(),
-            breaker_threshold=(
-                breaker_threshold_n
-                if breaker_threshold_n is not None
-                else breaker_threshold()
-            ),
-            breaker_reset_s=(
-                breaker_reset if breaker_reset is not None else breaker_reset_s()
-            ),
-            drain_timeout_s=(
-                drain_timeout if drain_timeout is not None else drain_timeout_s()
-            ),
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "workers", max(1, self.workers))
+        object.__setattr__(self, "queue_limit", max(1, self.queue_limit))
 
     def effective_stall_s(self) -> float:
         return self.stall_s if self.stall_s is not None else self.deadline_s

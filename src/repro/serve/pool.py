@@ -114,7 +114,7 @@ def worker_main(conn) -> None:
             break
         faults.fire_kill("serve_worker_crash")
         if faults.should_fire("serve_worker_hang"):
-            time.sleep(float(os.environ.get("REPRO_FAULT_HANG_SECONDS", "30")))
+            time.sleep(faults.hang_seconds())
         envelope = execute_envelope(
             msg["request"],
             degrade=msg["degrade"],

@@ -34,7 +34,6 @@ before hashing, so ``kmp:text=iid,pattern=ab`` and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -50,20 +49,6 @@ SOURCES_VERSION = 1
 
 DEFAULT_SEED = 0
 DEFAULT_LENGTH = 20_000
-
-
-def source_seed(default: int = DEFAULT_SEED) -> int:
-    """``REPRO_SOURCE_SEED``: default seed for source-trace generation
-    (the CLI's ``--seed`` overrides per invocation)."""
-    raw = os.environ.get("REPRO_SOURCE_SEED", "").strip()
-    return int(raw) if raw else default
-
-
-def source_length(default: int = DEFAULT_LENGTH) -> int:
-    """``REPRO_SOURCE_LENGTH``: default event count for source traces
-    (the CLI's ``--length`` overrides per invocation)."""
-    raw = os.environ.get("REPRO_SOURCE_LENGTH", "").strip()
-    return int(raw) if raw else default
 
 
 # ----------------------------------------------------------------------
@@ -424,8 +409,8 @@ def source_trace(
     from repro.perf.cache import TRACE_VERSION, cached, digest_of
 
     source = create_source(spec)
-    length = source_length() if length is None else int(length)
-    seed = source_seed() if seed is None else int(seed)
+    length = DEFAULT_LENGTH if length is None else int(length)
+    seed = DEFAULT_SEED if seed is None else int(seed)
     if length <= 0:
         raise TraceError(
             "source trace length must be positive",

@@ -32,7 +32,6 @@ from repro.predictors.optimal import (
     count_structures,
     enumerate_structures,
     machine_mispredicts,
-    opt_kmax,
     optimal_mispredicts,
     optimal_predictors,
 )
@@ -107,16 +106,6 @@ class TestEnumeration:
                     for b in (0, 1):
                         canon[2 * relabel[s] + b] = relabel[t[2 * s + b]]
                 assert tuple(canon) == t
-
-    def test_kmax_knob_is_clamped(self):
-        with _env(REPRO_OPT_KMAX="99"):
-            assert opt_kmax() == MAX_KMAX
-        with _env(REPRO_OPT_KMAX="-3"):
-            assert opt_kmax() == 1
-        with _env(REPRO_OPT_KMAX="junk"):
-            assert opt_kmax() == 4
-        with _env(REPRO_OPT_KMAX=None):
-            assert opt_kmax() == 4
 
 
 class TestGoldenVectors:

@@ -16,6 +16,7 @@ environment -- chaos jobs arm some of these -- is never disturbed.)
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,6 @@ from repro.perf import cache as cache_mod
 from repro.perf import parallel as parallel_mod
 from repro.reliability import durability as durability_mod
 from repro.reliability import faults as faults_mod
-from repro.serve import config as serve_config_mod
-from repro.workloads import sources as sources_mod
 
 #: (env var, flipped value, accessor, expectation on the flipped value).
 #: Each accessor is a zero-arg callable evaluated after the flip.
@@ -81,7 +80,7 @@ KNOB_CASES = [
     (
         "REPRO_FAULT_HANG_SECONDS",
         "1.5",
-        parallel_mod._hang_seconds,
+        faults_mod.hang_seconds,
         lambda value: value == pytest.approx(1.5),
     ),
     (
@@ -133,70 +132,10 @@ KNOB_CASES = [
         lambda value: str(value).endswith("knob-golden"),
     ),
     (
-        "REPRO_SOURCE_SEED",
-        "42",
-        sources_mod.source_seed,
-        lambda value: value == 42,
-    ),
-    (
-        "REPRO_SOURCE_LENGTH",
-        "1234",
-        sources_mod.source_length,
-        lambda value: value == 1234,
-    ),
-    (
-        "REPRO_SERVE_HOST",
-        "0.0.0.0",
-        serve_config_mod.serve_host,
-        lambda value: value == "0.0.0.0",
-    ),
-    (
-        "REPRO_SERVE_PORT",
-        "9100",
-        serve_config_mod.serve_port,
-        lambda value: value == 9100,
-    ),
-    (
-        "REPRO_SERVE_WORKERS",
-        "5",
-        serve_config_mod.serve_workers,
-        lambda value: value == 5,
-    ),
-    (
-        "REPRO_SERVE_QUEUE",
-        "12",
-        serve_config_mod.serve_queue_limit,
-        lambda value: value == 12,
-    ),
-    (
-        "REPRO_SERVE_DEADLINE",
-        "9.5",
-        serve_config_mod.serve_deadline_s,
-        lambda value: value == pytest.approx(9.5),
-    ),
-    (
-        "REPRO_SERVE_STALL",
-        "4.25",
-        serve_config_mod.serve_stall_s,
-        lambda value: value == pytest.approx(4.25),
-    ),
-    (
-        "REPRO_SERVE_BREAKER_FAILS",
-        "9",
-        serve_config_mod.breaker_threshold,
-        lambda value: value == 9,
-    ),
-    (
-        "REPRO_SERVE_BREAKER_RESET",
-        "1.25",
-        serve_config_mod.breaker_reset_s,
-        lambda value: value == pytest.approx(1.25),
-    ),
-    (
-        "REPRO_SERVE_DRAIN",
-        "2.75",
-        serve_config_mod.drain_timeout_s,
-        lambda value: value == pytest.approx(2.75),
+        "REPRO_TRACE",
+        "1",
+        tracing_mod.tracing_armed,
+        lambda value: value is True,
     ),
 ]
 
@@ -220,6 +159,37 @@ def test_knob_flipped_after_import_is_honored(
     monkeypatch.delenv(name)
     # Clearing the variable must restore the default behaviour.
     assert accessor() == default
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+KNOB_NAME = re.compile(r"REPRO_[A-Z0-9_]*[A-Z0-9]")
+
+
+def _knobs_read_under_src():
+    names = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        names.update(KNOB_NAME.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
+class TestKnobInventory:
+    """Every ``REPRO_*`` name the package mentions is pinned by a call-time
+    case above (``REPRO_FAULTS``/``REPRO_FAULTS_SEED`` by
+    :class:`TestFaultPlanCallTime`) and documented in the README knob
+    table, so a new knob cannot slip in unpinned or undocumented."""
+
+    def test_src_knobs_match_the_call_time_cases(self):
+        covered = {case[0] for case in KNOB_CASES}
+        covered |= {"REPRO_FAULTS", "REPRO_FAULTS_SEED"}
+        assert _knobs_read_under_src() == covered
+
+    def test_every_knob_has_a_readme_row(self):
+        rows = set()
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        for line in readme.splitlines():
+            if line.startswith("| `REPRO_"):
+                rows.update(KNOB_NAME.findall(line.split("|")[1]))
+        assert sorted(_knobs_read_under_src() - rows) == []
 
 
 class TestFaultPlanCallTime:

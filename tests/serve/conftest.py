@@ -16,7 +16,7 @@ from repro.reliability import faults as faults_mod
 
 @pytest.fixture(autouse=True)
 def serve_scratch_env(monkeypatch, tmp_path):
-    """Disarmed faults + scratch cache + fast supervision timings."""
+    """Disarmed faults + scratch cache."""
     monkeypatch.setattr(faults_mod, "_plan", None)
     monkeypatch.setattr(faults_mod, "_override", False)
     monkeypatch.setattr(faults_mod, "_env_sig", None)
@@ -25,28 +25,4 @@ def serve_scratch_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    for name in (
-        "REPRO_SERVE_HOST",
-        "REPRO_SERVE_PORT",
-        "REPRO_SERVE_WORKERS",
-        "REPRO_SERVE_QUEUE",
-        "REPRO_SERVE_DEADLINE",
-        "REPRO_SERVE_STALL",
-        "REPRO_SERVE_BREAKER_FAILS",
-        "REPRO_SERVE_BREAKER_RESET",
-        "REPRO_SERVE_DRAIN",
-        "REPRO_ROUTER_HOST",
-        "REPRO_ROUTER_PORT",
-        "REPRO_ROUTER_REPLICAS",
-        "REPRO_ROUTER_QUEUE",
-        "REPRO_ROUTER_PROBE_INTERVAL",
-        "REPRO_ROUTER_LEASE",
-        "REPRO_ROUTER_EJECT_FAILS",
-        "REPRO_ROUTER_RETRIES",
-        "REPRO_ROUTER_HEDGE_FLOOR",
-        "REPRO_ROUTER_HEDGE_CAP",
-        "REPRO_ROUTER_CONNECT_TIMEOUT",
-        "REPRO_ROUTER_DRAIN",
-    ):
-        monkeypatch.delenv(name, raising=False)
     return tmp_path

@@ -62,9 +62,7 @@ class TestSigkillChaos:
 
         async def scenario():
             server = DesignServer(
-                ServeConfig.from_env(
-                    host="127.0.0.1", port=0, workers=2, queue_limit=64
-                )
+                ServeConfig(host="127.0.0.1", port=0, workers=2, queue_limit=64)
             )
             await server.start()
             try:
@@ -139,9 +137,7 @@ class TestFaultPointChaos:
 
         async def scenario():
             server = DesignServer(
-                ServeConfig.from_env(
-                    host="127.0.0.1", port=0, workers=2, queue_limit=64
-                )
+                ServeConfig(host="127.0.0.1", port=0, workers=2, queue_limit=64)
             )
             await server.start()
             try:
@@ -173,12 +169,15 @@ class TestFaultPointChaos:
         monkeypatch.setenv("REPRO_FAULTS", "serve_worker_hang:1")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "0")
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "60")
-        monkeypatch.setenv("REPRO_SERVE_STALL", "0.5")
 
         async def scenario():
             server = DesignServer(
-                ServeConfig.from_env(
-                    host="127.0.0.1", port=0, workers=1, queue_limit=8
+                ServeConfig(
+                    host="127.0.0.1",
+                    port=0,
+                    workers=1,
+                    queue_limit=8,
+                    stall_s=0.5,
                 )
             )
             await server.start()
@@ -202,3 +201,41 @@ class TestFaultPointChaos:
             assert metrics().get("serve.watchdog_stall_kills") >= 1
 
         run(scenario())
+
+    def test_junk_hang_seconds_still_hangs_the_worker(self, monkeypatch):
+        """A malformed ``REPRO_FAULT_HANG_SECONDS`` falls back to the 30 s
+        default: an armed ``serve_worker_hang`` must stall the worker, not
+        crash it with a parse error before it answers."""
+        from multiprocessing import Pipe
+
+        from repro.reliability import faults
+        from repro.serve import pool
+
+        monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "junk")
+        sleeps = []
+        monkeypatch.setattr(pool.time, "sleep", sleeps.append)
+        # worker_main is a process body: keep it from touching this
+        # process's signal handlers and registered listener fds.
+        monkeypatch.setattr(pool.signal, "signal", lambda *args: None)
+        monkeypatch.setattr(pool, "_close_inherited_fds", lambda: None)
+        parent, child = Pipe()
+        request = DesignRequest.from_payload({"trace": PAPER, "order": 2})
+        try:
+            parent.send(
+                {
+                    "job_id": 7,
+                    "request": request,
+                    "degrade": (),
+                    "deadline_s": 60.0,
+                }
+            )
+            parent.send(None)
+            with faults.inject_faults("serve_worker_hang:1"):
+                pool.worker_main(child)
+            reply = parent.recv()
+        finally:
+            parent.close()
+            child.close()
+        assert sleeps == [30.0]
+        assert reply["job_id"] == 7
+        assert reply["envelope"]["status"] == "ok", reply

@@ -35,11 +35,11 @@ async def boot_router(ports, **overrides):
         host="127.0.0.1",
         port=0,
         replicas=[("127.0.0.1", p) for p in ports],
-        probe_interval=0.1,
-        connect_timeout=1.0,
+        probe_interval_s=0.1,
+        connect_timeout_s=1.0,
     )
     defaults.update(overrides)
-    router = ClusterRouter(RouterConfig.from_env(**defaults))
+    router = ClusterRouter(RouterConfig(**defaults))
     await router.start()
     return router
 
@@ -73,8 +73,8 @@ class TestCoalescingUnderFailure:
             fake_b = await FakeReplica(design_delay_s=0.3).start()
             router = await boot_router(
                 [fake_a.port, fake_b.port],
-                hedge_cap=10.0,  # keep hedging out of this drill
-                retries=3,
+                hedge_cap_s=10.0,  # keep hedging out of this drill
+                retry_budget=3,
             )
             hits_before = metrics().get("serve.coalesce.hits")
             retries_before = metrics().get("serve.router.retries")
@@ -126,8 +126,8 @@ class TestHedging:
             fast = await FakeReplica().start()
             router = await boot_router(
                 [slow.port, fast.port],
-                hedge_floor=0.05,
-                hedge_cap=0.15,
+                hedge_floor_s=0.05,
+                hedge_cap_s=0.15,
             )
             hedges_before = metrics().get("serve.router.hedges")
             wins_before = metrics().get("serve.router.hedge_wins")
@@ -173,24 +173,20 @@ class TestReplicaCrash:
 
         async def scenario():
             server_a = DesignServer(
-                ServeConfig.from_env(
-                    host="127.0.0.1", port=0, workers=1, queue_limit=8
-                )
+                ServeConfig(host="127.0.0.1", port=0, workers=1, queue_limit=8)
             )
             server_b = DesignServer(
-                ServeConfig.from_env(
-                    host="127.0.0.1", port=0, workers=1, queue_limit=8
-                )
+                ServeConfig(host="127.0.0.1", port=0, workers=1, queue_limit=8)
             )
             await server_a.start()
             await server_b.start()
             port_a = server_a.port
             router = await boot_router(
                 [port_a, server_b.port],
-                probe_interval=0.1,
-                eject_fails=1,
-                retries=3,
-                hedge_cap=10.0,
+                probe_interval_s=0.1,
+                eject_after=1,
+                retry_budget=3,
+                hedge_cap_s=10.0,
             )
             ejects_before = metrics().get("serve.router.ejects")
             readmits_before = metrics().get("serve.router.readmits")
@@ -243,7 +239,7 @@ class TestReplicaCrash:
                 # Bring A back on its original port: readmission is
                 # automatic, no operator action.
                 server_a2 = DesignServer(
-                    ServeConfig.from_env(
+                    ServeConfig(
                         host="127.0.0.1",
                         port=port_a,
                         workers=1,

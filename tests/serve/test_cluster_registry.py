@@ -21,12 +21,12 @@ def run(coro):
 def make_config(*ports, **overrides):
     defaults = dict(
         replicas=[("127.0.0.1", port) for port in ports],
-        probe_interval=0.05,
-        eject_fails=2,
-        connect_timeout=0.5,
+        probe_interval_s=0.05,
+        eject_after=2,
+        connect_timeout_s=0.5,
     )
     defaults.update(overrides)
-    return RouterConfig.from_env(**defaults)
+    return RouterConfig(**defaults)
 
 
 class TestReplicaSpec:
@@ -77,7 +77,7 @@ class TestMembership:
 
                 fake.ready = False
                 await registry.probe_once(replica)
-                assert replica.admitted  # one failure < eject_fails
+                assert replica.admitted  # one failure < eject_after
                 await registry.probe_once(replica)
                 assert not replica.admitted
                 assert metrics().get("serve.router.ejects") - ejects_before == 1
@@ -99,7 +99,7 @@ class TestMembership:
         async def scenario():
             fake = await FakeReplica().start()
             registry = ReplicaRegistry(
-                make_config(fake.port, probe_interval=0.04)
+                make_config(fake.port, probe_interval_s=0.04)
             )
             try:
                 replica = registry.replicas[0]
@@ -151,7 +151,7 @@ class TestMembership:
     def test_request_path_death_counts_toward_ejection(self):
         async def scenario():
             fake = await FakeReplica().start()
-            registry = ReplicaRegistry(make_config(fake.port, eject_fails=2))
+            registry = ReplicaRegistry(make_config(fake.port, eject_after=2))
             try:
                 replica = registry.replicas[0]
                 await registry.probe_once(replica)
@@ -217,3 +217,18 @@ class TestSelectionAndHolds:
                 await registry.stop()
 
         run(scenario())
+
+
+class TestRouterConfig:
+    def test_lease_defaults_to_three_probe_intervals(self):
+        assert RouterConfig(probe_interval_s=0.05).lease_s == pytest.approx(0.15)
+        assert RouterConfig().lease_s == pytest.approx(3.0)
+
+    def test_lease_is_never_below_the_probe_interval(self):
+        config = RouterConfig(probe_interval_s=2.0, lease_s=0.5)
+        assert config.lease_s == pytest.approx(2.0)
+
+    def test_hedge_cap_below_floor_raises(self):
+        with pytest.raises(ValueError):
+            RouterConfig(hedge_floor_s=1.0, hedge_cap_s=0.5)
+        assert RouterConfig(hedge_floor_s=3.0, hedge_cap_s=3.0).hedge_cap_s == 3.0

@@ -26,11 +26,11 @@ async def boot_router(ports, **overrides):
         host="127.0.0.1",
         port=0,
         replicas=[("127.0.0.1", p) for p in ports],
-        probe_interval=0.1,
-        connect_timeout=1.0,
+        probe_interval_s=0.1,
+        connect_timeout_s=1.0,
     )
     defaults.update(overrides)
-    router = ClusterRouter(RouterConfig.from_env(**defaults))
+    router = ClusterRouter(RouterConfig(**defaults))
     await router.start()
     return router
 
@@ -54,7 +54,7 @@ async def roundtrip(port, obj, timeout_s=60.0):
 class TestWireCompatibility:
     def test_requires_at_least_one_replica(self):
         with pytest.raises(ValueError):
-            ClusterRouter(RouterConfig.from_env(replicas=[]))
+            ClusterRouter(RouterConfig(replicas=[]))
 
     def test_design_through_router_matches_batch_reference(self):
         async def scenario():
@@ -144,7 +144,7 @@ class TestCoalescing:
     def test_same_digest_burst_collapses_to_one_upstream_call(self):
         async def scenario():
             fake = await FakeReplica(design_delay_s=0.3).start()
-            router = await boot_router([fake.port], hedge_cap=10.0)
+            router = await boot_router([fake.port], hedge_cap_s=10.0)
             hits_before = metrics().get("serve.coalesce.hits")
             try:
                 base = {"trace": PAPER * 2, "order": 1}
@@ -178,7 +178,7 @@ class TestCoalescing:
     def test_mixed_digest_burst_never_cross_delivers(self):
         async def scenario():
             fake = await FakeReplica(design_delay_s=0.2).start()
-            router = await boot_router([fake.port], hedge_cap=10.0)
+            router = await boot_router([fake.port], hedge_cap_s=10.0)
             try:
                 payload_a = {"trace": PAPER * 2, "order": 1, "id": "a"}
                 payload_b = {"trace": PAPER * 3, "order": 2, "id": "b"}
@@ -206,7 +206,7 @@ class TestCoalescing:
 class TestShedding:
     def test_no_up_replicas_sheds_with_503(self):
         async def scenario():
-            router = await boot_router([free_port()], probe_interval=0.2)
+            router = await boot_router([free_port()], probe_interval_s=0.2)
             try:
                 health = await roundtrip(router.port, {"op": "healthz"})
                 assert health["ready"] is False
@@ -226,7 +226,7 @@ class TestShedding:
             fake = await FakeReplica(
                 reject_all=True, retry_after_s=0.5
             ).start()
-            router = await boot_router([fake.port], retries=2)
+            router = await boot_router([fake.port], retry_budget=2)
             shed_before = metrics().get("serve.router.shed_backpressure")
             try:
                 first = await roundtrip(

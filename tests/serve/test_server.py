@@ -27,7 +27,7 @@ def run(coro):
 async def boot(**overrides) -> DesignServer:
     defaults = dict(host="127.0.0.1", port=0, workers=1, queue_limit=8)
     defaults.update(overrides)
-    server = DesignServer(ServeConfig.from_env(**defaults))
+    server = DesignServer(ServeConfig(**defaults))
     await server.start()
     return server
 

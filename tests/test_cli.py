@@ -255,3 +255,64 @@ class TestConformanceSourceChecks:
         out = capsys.readouterr().out
         assert "kmp     closed-form rates ok" in out
         assert "sources golden vectors ok" in out
+
+
+class TestServeFlagValidation:
+    """Non-positive timings and a hedge cap below the floor are refused
+    with exit status 2 before anything is served."""
+
+    ROUTER = ["serve-router", "--replicas", "127.0.0.1:7477"]
+
+    @staticmethod
+    def _exit_status(monkeypatch, argv):
+        import asyncio
+
+        def _no_event_loop(coro):
+            # A command that passed its checks would serve forever here.
+            coro.close()
+            return 0
+
+        monkeypatch.setattr(asyncio, "run", _no_event_loop)
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--deadline", "0"],
+            ["serve", "--deadline", "-5"],
+            ROUTER + ["--probe-interval", "0"],
+            ROUTER + ["--hedge-floor", "0"],
+            ROUTER + ["--hedge-cap", "-1"],
+            ROUTER + ["--hedge-floor", "0.5", "--hedge-cap", "0.1"],
+        ],
+        ids=[
+            "deadline-zero",
+            "deadline-negative",
+            "probe-interval-zero",
+            "hedge-floor-zero",
+            "hedge-cap-negative",
+            "hedge-cap-below-floor",
+        ],
+    )
+    def test_rejected_with_exit_2(self, monkeypatch, capsys, argv):
+        assert self._exit_status(monkeypatch, argv) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--deadline", "5"],
+            ROUTER + ["--probe-interval", "0.25"],
+            ROUTER + ["--hedge-floor", "300", "--hedge-cap", "300"],
+        ],
+        ids=["deadline", "probe-interval", "hedge-floor-equals-cap"],
+    )
+    def test_positive_values_accepted(self, monkeypatch, argv):
+        assert self._exit_status(monkeypatch, argv) == 0
+
+    def test_router_without_replicas_is_exit_2(self, monkeypatch, capsys):
+        assert self._exit_status(monkeypatch, ["serve-router"]) == 2
+        assert "--replicas" in capsys.readouterr().err

@@ -184,14 +184,6 @@ class TestCachedGeneration:
         with pytest.raises(TraceError):
             source_trace("kmp:pattern=ab", length, 0)
 
-    def test_env_knobs_supply_the_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOURCE_LENGTH", "77")
-        monkeypatch.setenv("REPRO_SOURCE_SEED", "4")
-        trace = source_trace("pybytecode:program=sort")
-        assert len(trace) == 77
-        explicit = source_trace("pybytecode:program=sort", 77, 4)
-        assert trace.outcomes == explicit.outcomes
-
 
 class TestSourceSpecValue:
     def test_get_falls_back_to_default(self):
