@@ -1,7 +1,7 @@
 """Process-wide metrics registry: one place for every counter.
 
 Before this layer each subsystem grew its own private counters --
-``perf.cache`` kept a module-global ``CacheStats``, ``parallel_map`` kept
+``perf.cache`` kept a module-global ``CacheStats``, the process pool kept
 retry/timeout tallies in locals, fault injection counted per plan -- and
 anything incremented inside a pool worker silently vanished when the
 worker exited.  The :class:`MetricsRegistry` unifies them:
@@ -12,10 +12,11 @@ worker exited.  The :class:`MetricsRegistry` unifies them:
   ``durable.replayed``, ``ga.resumed``, ``serve.router.hedges``,
   ``serve.coalesce.hits``, ``serve.client.reconnects``, ...);
 * **snapshot / diff / merge** make the counters *transportable*: a pool
-  worker snapshots the registry around each task, ships the per-task
-  delta back through the ``parallel_map`` result channel, and the parent
-  merges it -- so ``cache_stats()`` totals are correct under
-  ``REPRO_JOBS>1`` instead of only counting the parent's work;
+  worker (:func:`repro.serve.pool.worker_main`) snapshots the registry
+  around each job, ships the per-job delta back with the job's reply,
+  and the parent merges it -- so ``cache_stats()`` totals are correct
+  under ``REPRO_JOBS>1`` and in ``repro serve`` instead of only counting
+  the parent's work;
 * zero dependencies (stdlib dicts), zero cost when nothing increments.
 
 The registry is deliberately counters-only.  Durations and sizes belong
@@ -103,7 +104,7 @@ _REGISTRY = MetricsRegistry()
 
 def metrics() -> MetricsRegistry:
     """The process-wide registry (pool workers each get their own; their
-    per-task diffs are merged back by ``parallel_map``)."""
+    per-job diffs are merged back by the pool's parent)."""
     return _REGISTRY
 
 

@@ -10,8 +10,8 @@ to the per-event loops they accelerate (numpy is a hard dependency):
   ``banked_replay`` replays indexed counter/FSM tables.
 - :mod:`repro.perf.cache` memoizes VM traces and FSM design results on disk,
   keyed by content digests plus explicit version salts.
-- :mod:`repro.perf.parallel` maps experiment shards over a process pool with
-  deterministic result ordering.
+- :mod:`repro.perf.parallel` maps experiment shards over the supervised
+  worker pool of :mod:`repro.serve.pool` with deterministic result ordering.
 """
 
 from repro.perf.batched import (

@@ -89,8 +89,8 @@ class CacheStats:
     :class:`~repro.obs.metrics.MetricsRegistry`.
 
     The registry (not this dataclass) is the source of truth: cache
-    activity inside pool workers is shipped back to the parent through
-    the ``parallel_map`` result channel and merged, so these totals are
+    activity inside pool workers is shipped back to the parent with
+    each job's reply and merged, so these totals are
     correct under ``REPRO_JOBS>1`` -- previously each worker counted
     into a private module global that died with the process.
     """

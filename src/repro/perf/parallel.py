@@ -1,30 +1,23 @@
-"""Deterministic, fault-tolerant process-pool mapping for experiment shards.
+"""Deterministic, fault-tolerant mapping of experiment shards over workers.
 
 ``parallel_map(fn, items)`` is a drop-in for ``[fn(x) for x in items]``:
 results always come back in input order and anything that prevents pooling
-(``REPRO_JOBS=1``, an unpicklable ``fn``, a sandbox without process
-support, or already being inside a worker) silently degrades to the serial
-loop.  Because every shard function in the harness is a pure function of
-its arguments, serial and parallel runs are byte-identical -- and the
-hardening below preserves that under infrastructure failure:
+(``REPRO_JOBS=1``, an unpicklable ``fn``, or already being inside a
+worker) silently degrades to the serial loop.  Because every shard
+function in the harness is a pure function of its arguments, serial and
+parallel runs are byte-identical.
 
-* **crash isolation** -- a worker that dies (``BrokenProcessPool``) fails
-  only its own item; the item is retried on a fresh pool with bounded
-  deterministic backoff and, as a last resort, recomputed serially in the
-  parent instead of aborting the whole sweep;
-* **per-task timeout** -- ``REPRO_TASK_TIMEOUT`` (seconds) bounds each
-  item; a hung worker is abandoned (and terminated) rather than waited on
-  forever, and its item goes through the same retry/serial path;
-* **structured failure** -- an item that still cannot be computed raises
-  :class:`~repro.reliability.errors.WorkerError` naming the item index.
-
-Exceptions raised by ``fn`` itself are *not* retried: they are
-deterministic application errors and propagate unchanged, exactly like
-the serial loop.  ``KeyboardInterrupt`` (Ctrl-C, or the CLI's SIGTERM
-handler) is *never* treated as retryable either -- the pool is torn down
-immediately (no zombie workers) and the interrupt propagates, so the
-durability layer above can report a resumable run instead of half-dying
-into a hung process tree.
+A pooled run is an ordered gather over
+:class:`repro.serve.pool.SupervisedPool`, the repo's one worker pool: one
+job per item, results awaited in submission order.  An item whose worker
+dies, is stall-killed (past ``REPRO_TASK_TIMEOUT`` seconds; unset means
+no budget) or hits an injected fault is re-dispatched once and then
+recomputed in the parent; if that fails too, a
+:class:`~repro.reliability.errors.WorkerError` names the item index.
+Exceptions raised by ``fn`` itself are *not* retried: they propagate
+unchanged, exactly like the serial loop.  ``KeyboardInterrupt`` (Ctrl-C,
+or the CLI's SIGTERM handler) stops the pool (no zombie workers) and
+propagates, so the durability layer above can report a resumable run.
 
 ``on_result(index, value)`` (optional) runs in the parent as each item's
 result lands, in input order for the serial path and submission order
@@ -33,17 +26,17 @@ uses it to journal shard completions *as they happen*, so an interrupt
 mid-sweep loses only in-flight shards, not finished ones.
 
 Worker count comes from ``jobs=...`` or the ``REPRO_JOBS`` environment
-variable (default 1: opt-in parallelism); retries from
-``REPRO_TASK_RETRIES`` (default 2).  The ``worker_crash``/``worker_hang``/
-``worker_reorder`` fault points (:mod:`repro.reliability.faults`) let the
-chaos suite prove all of this.
+variable (default 1: opt-in parallelism).  The ``worker_crash``/
+``worker_hang``/``worker_reorder`` fault points
+(:mod:`repro.reliability.faults`) let the chaos suite prove all of this.
 """
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import os
 import pickle
-import signal
 import time
 from typing import Callable, Dict, Iterable, List, Optional, TypeVar
 
@@ -56,30 +49,16 @@ from repro.reliability.faults import InjectedFault
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Set in pool workers: a nested ``parallel_map`` runs serially.
 _IN_WORKER = False
 
-_BACKOFF_BASE = 0.05  # seconds; doubles per retry pass, deterministic
-_BACKOFF_MAX = 0.5
-
-
-def _mark_worker() -> None:
-    """Pool initializer: flags the process so nested ``parallel_map`` calls
-    inside shard functions run serially instead of forking pools of pools.
-
-    Also resets SIGTERM to the default action.  Forked workers inherit the
-    CLI's handler, which raises ``KeyboardInterrupt`` -- correct for the
-    *parent* (drain, journal, resume hint), but poison in a worker: the
-    pool ships the ``KeyboardInterrupt`` back as the task's result and the
-    whole sweep aborts because one worker was politely killed.  With the
-    default action the SIGTERMed worker simply dies, the parent sees a
-    ``BrokenProcessPool``, re-dispatches the item, and the sweep result
-    stays byte-identical."""
-    global _IN_WORKER
-    _IN_WORKER = True
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
+#: The pool events a sweep counts, under their ``parallel.*`` names.
+_COUNTERS = {
+    "completed": "parallel.pool_tasks",
+    "redispatches": "parallel.retries",
+    "watchdog_stall_kills": "parallel.timeouts",
+    "inline_fallbacks": "parallel.serial_fallbacks",
+}
 
 
 def default_jobs() -> int:
@@ -92,8 +71,8 @@ def default_jobs() -> int:
 
 
 def task_timeout() -> Optional[float]:
-    """Per-item timeout in seconds (``REPRO_TASK_TIMEOUT``); None = wait
-    forever (the default)."""
+    """Per-item stall budget in seconds (``REPRO_TASK_TIMEOUT``); None =
+    wait forever (the default)."""
     raw = os.environ.get("REPRO_TASK_TIMEOUT", "").strip()
     if not raw:
         return None
@@ -104,34 +83,31 @@ def task_timeout() -> Optional[float]:
     return seconds if seconds > 0 else None
 
 
-def task_retries() -> int:
-    """Pool retry passes per item before the serial fallback
-    (``REPRO_TASK_RETRIES``, default 2)."""
-    raw = os.environ.get("REPRO_TASK_RETRIES", "2")
-    try:
-        retries = int(raw)
-    except ValueError:
-        return 2
-    return max(0, retries)
-
-
-def _pool_call(fn: Callable[[T], R], item: T):
-    """Runs inside a pool worker; hosts the worker-side fault points.
-
-    Returns ``(result, metrics_delta)``: the counters the task gained in
-    this worker process (cache hits/misses, fault hits, nested spans) are
-    snapshotted around the call and shipped back through the result
-    channel, so the parent can merge them into its own registry --
-    without this, worker-side counters die with the pool and the parent's
-    ``cache_stats()`` silently under-reports under ``REPRO_JOBS>1``.
-    """
+def _task(fn: Callable[[T], R], item: T) -> R:
+    """Runs inside a pool worker; hosts the worker-side fault points."""
     faults.fire("worker_crash")
     if faults.should_fire("worker_hang"):
         time.sleep(faults.hang_seconds())
-    before = metrics().snapshot()
     with trace_span("parallel.task", where="worker"):
-        value = fn(item)
-    return value, metrics().diff_since(before)
+        return fn(item)
+
+
+def _recompute(fn: Callable[[T], R], index: int, item: T) -> R:
+    """The parent's last resort for an item the pool lost twice.  A pure
+    ``fn`` returns the identical value, so the output stays the same."""
+    from repro.serve.pool import MAX_DISPATCHES
+
+    try:
+        with trace_span("parallel.task", where="fallback", index=index):
+            return fn(item)
+    except InjectedFault as exc:
+        raise WorkerError(
+            f"work item {index} failed {MAX_DISPATCHES} pool attempts "
+            "and the serial recompute",
+            stage="parallel_map",
+            item_index=index,
+            attempts=MAX_DISPATCHES,
+        ) from exc
 
 
 def _serial_map(
@@ -150,17 +126,36 @@ def _serial_map(
     return results
 
 
-def _reap(pool) -> None:
-    """Abandon a pool without waiting on hung workers."""
+async def _gather(
+    fn: Callable[[T], R],
+    work: List[T],
+    order: List[int],
+    n_jobs: int,
+    on_result: Optional[Callable[[int, R], None]],
+) -> List[R]:
+    from repro.serve.pool import SupervisedPool
+
+    pool = SupervisedPool(n_jobs, stall_s=task_timeout(), counters=_COUNTERS)
+    futures: Dict[int, "asyncio.Future[R]"] = {}
+    results: List[Optional[R]] = [None] * len(work)
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    try:
-        for process in list(getattr(pool, "_processes", {}).values()):
-            process.terminate()
-    except Exception:
-        pass
+        await pool.start()
+        for index in order:
+            futures[index] = pool.call(
+                _task, (fn, work[index]),
+                fallback=functools.partial(_recompute, fn, index, work[index]),
+            )
+        for index in order:
+            results[index] = await futures[index]
+            if on_result is not None:
+                on_result(index, results[index])
+    finally:
+        await pool.stop()
+        # An aborted gather leaves answers nobody reads; mark them read.
+        for future in futures.values():
+            if future.done() and not future.cancelled():
+                future.exception()
+    return results  # type: ignore[return-value]
 
 
 def parallel_map(
@@ -180,10 +175,6 @@ def parallel_map(
     n_jobs = min(n_jobs, len(work))
     if _IN_WORKER or n_jobs <= 1 or len(work) <= 1:
         return _serial_map(fn, work, on_result)
-    from concurrent.futures import TimeoutError as FuturesTimeout
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     try:
         # Lambdas/closures can't cross the process boundary; probing here
         # (pickling raises AttributeError, not just PicklingError) keeps
@@ -192,89 +183,17 @@ def parallel_map(
     except (pickle.PicklingError, AttributeError, TypeError):
         return _serial_map(fn, work, on_result)
 
-    timeout = task_timeout()
-    retries = task_retries()
-    # Only infrastructure failures are retryable; fn's own exceptions are
-    # deterministic and propagate unchanged (same as the serial loop).
-    retryable = (FuturesTimeout, BrokenProcessPool, InjectedFault,
-                 pickle.PicklingError)
-
-    results: List[Optional[R]] = [None] * len(work)
-    pending = set(range(len(work)))
-    last_error: Dict[int, BaseException] = {}
-
-    for attempt in range(retries + 1):
-        if not pending:
-            break
-        if attempt:
-            time.sleep(min(_BACKOFF_BASE * (2 ** (attempt - 1)), _BACKOFF_MAX))
-        order = sorted(pending)
-        rng = faults.plan_rng()
-        if rng is not None and faults.should_fire("worker_reorder"):
-            # Chaos: shuffled submission/completion order must not change
-            # the output, because results are keyed by item index.
-            rng.shuffle(order)
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(order)), initializer=_mark_worker
-            )
-        except OSError:
-            break  # no subprocess support at all: serial fallback below
-        try:
-            try:
-                futures = {
-                    index: pool.submit(_pool_call, fn, work[index])
-                    for index in order
-                }
-            except (BrokenProcessPool, OSError, pickle.PicklingError) as exc:
-                for index in order:
-                    last_error.setdefault(index, exc)
-                continue
-            for index in order:
-                try:
-                    value, worker_delta = futures[index].result(timeout=timeout)
-                    # The worker-aggregation fix: fold the task's counter
-                    # delta (cache hits/misses, fault hits) into the
-                    # parent registry before handing back the value.
-                    metrics().merge(worker_delta)
-                    metrics().incr("parallel.pool_tasks")
-                    results[index] = value
-                    pending.discard(index)
-                    if on_result is not None:
-                        on_result(index, value)
-                except KeyboardInterrupt:
-                    # Graceful shutdown, not an infrastructure failure:
-                    # never lands in the retry/serial-fallback machinery.
-                    # Terminate the workers right here (no zombies) and
-                    # let the interrupt propagate to the CLI handler.
-                    metrics().incr("parallel.interrupts")
-                    raise
-                except retryable as exc:
-                    last_error[index] = exc
-                    metrics().incr("parallel.retries")
-                    if isinstance(exc, FuturesTimeout):
-                        metrics().incr("parallel.timeouts")
-        finally:
-            _reap(pool)
-
-    # Last resort: recompute survivors serially in the parent.  A pure fn
-    # returns the identical value, so the output stays byte-identical.
-    # KeyboardInterrupt is not in `retryable`: an interrupt here aborts
-    # the sweep instead of being converted into a WorkerError.
-    for index in sorted(pending):
-        metrics().incr("parallel.serial_fallbacks")
-        try:
-            with trace_span("parallel.task", where="fallback", index=index):
-                results[index] = fn(work[index])
-        except retryable as exc:
-            raise WorkerError(
-                f"work item {index} failed {retries + 1} pool attempts "
-                "and the serial recompute",
-                stage="parallel_map",
-                item_index=index,
-                attempts=retries + 1,
-                last_pool_error=repr(last_error.get(index)),
-            ) from exc
-        if on_result is not None:
-            on_result(index, results[index])
-    return results  # type: ignore[return-value]
+    order = list(range(len(work)))
+    rng = faults.plan_rng()
+    if rng is not None and faults.should_fire("worker_reorder"):
+        # Chaos: shuffled submission/completion order must not change
+        # the output, because results are keyed by item index.
+        rng.shuffle(order)
+    try:
+        return asyncio.run(_gather(fn, work, order, n_jobs, on_result))
+    except KeyboardInterrupt:
+        # Graceful shutdown, not an infrastructure failure: the pool is
+        # already stopped (no zombies); let the interrupt propagate to
+        # the CLI handler.
+        metrics().incr("parallel.interrupts")
+        raise

@@ -76,8 +76,8 @@ class CacheError(ReproError, RuntimeError):
 
 
 class WorkerError(ReproError, RuntimeError):
-    """A parallel_map work item could not be completed even after retries
-    and a serial recompute; names the item index."""
+    """A parallel_map work item could not be completed even after a
+    re-dispatch and a recompute in the parent; names the item index."""
 
 
 class DeadlineError(ReproError, TimeoutError):

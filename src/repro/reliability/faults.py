@@ -24,15 +24,20 @@ Fault points currently wired in:
 ``cache_read``     reading a cache entry raises ``OSError`` (treated as miss)
 ``cache_write``    a cache write is dropped (entry simply not persisted)
 ``cache_corrupt``  a cache write lands with a tampered payload (bit-rot)
-``worker_crash``   a pool worker raises before running its item
-``worker_hang``    a pool worker sleeps past the task timeout
-``worker_reorder`` items are submitted to the pool in shuffled order
+``worker_crash``   a ``parallel_map`` worker raises before running its item
+                   (the pool re-dispatches it once, then recomputes it in
+                   the parent)
+``worker_hang``    a ``parallel_map`` worker sleeps past
+                   ``REPRO_TASK_TIMEOUT`` (the pool SIGKILLs it, then as
+                   ``worker_crash``)
+``worker_reorder`` ``parallel_map`` items are submitted in shuffled order
 ``stage_fail``     a pipeline stage raises before running
 ``journal_write``  a write-ahead journal append is dropped (lost record)
 ``kill_point``     the process SIGKILLs itself (via :func:`fire_kill`)
 ``hopcroft_offby1`` Hopcroft output gets one transition bumped off by one
-``serve_worker_crash`` a serve pool worker SIGKILLs itself before a job
-``serve_worker_hang``  a serve pool worker stalls past the stall timeout
+``serve_worker_crash`` a pool worker SIGKILLs itself before any job
+``serve_worker_hang``  a pool worker stalls before any job (past the stall
+                       budget, if the pool has one)
 ``router_probe_fail``  a cluster router health probe is dropped (probe loss)
 ``replica_partition``  a router->replica request hits a simulated partition
 =================  ==========================================================

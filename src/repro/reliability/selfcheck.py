@@ -14,9 +14,9 @@ Runs, in-process and in a couple of minutes of CPU at most:
    (``stage_fail``) surfaces as a structured ``DesignError`` naming the
    stage;
 5. **metrics aggregation** -- a pooled sweep's cache hit/miss/write
-   totals equal the serial sweep's: worker-side counters must ride the
-   ``parallel_map`` result channel back to the parent registry instead
-   of dying with the pool.
+   totals equal the serial sweep's: worker-side counters must ride each
+   job's reply back to the parent registry instead of dying with the
+   pool.
 6. **durability** -- a journaled sweep replays from its write-ahead
    journal without recomputing (a poisoned shard function proves no
    shard re-executes), a torn final journal line is tolerated, and the
@@ -190,7 +190,7 @@ def _check_fault_smoke() -> str:
 def _check_metrics_aggregation() -> str:
     """The stats-correctness contract: pooled and serial sweeps must
     report identical cache counter totals.  Worker-side increments ride
-    the ``parallel_map`` result channel back into the parent's
+    each job's reply back into the parent's
     :mod:`repro.obs.metrics` registry; before that fix they vanished with
     the worker process and ``REPRO_JOBS>1`` silently under-reported."""
     import shutil

@@ -10,7 +10,8 @@ HDL, and area come out.  The layer cake, bottom to top:
 ``config``    :class:`ServeConfig`, filled from the ``serve`` flags
 ``breaker``   circuit breakers (closed / open / half-open)
 ``pool``      supervised worker processes: crash containment,
-              exactly-once re-dispatch, hang watchdog, backoff respawn
+              exactly-once re-dispatch, hang watchdog, backoff respawn;
+              also the pool behind ``repro.perf.parallel_map``
 ``server``    admission control, load shedding, deadline-aware
               degradation, graceful drain
 ``loadgen``   seeded concurrent clients proving zero-lost /

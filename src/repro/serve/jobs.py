@@ -287,18 +287,13 @@ def execute_envelope(
     request: DesignRequest,
     degrade: Iterable[str] = (),
     deadline_s: Optional[float] = None,
-    collect_metrics: bool = False,
 ) -> Dict[str, Any]:
     """Execute one request under a cooperative deadline and wrap the
     outcome -- success, structured failure, or timeout -- in a response
-    envelope.  Shared by pool workers and the parent's inline fallback
-    (which passes ``collect_metrics=False``: its counters are already in
-    the parent registry)."""
-    from repro.obs.metrics import metrics
+    envelope.  Shared by pool workers and the parent's inline fallback."""
     from repro.serve import protocol
 
     degrade = frozenset(degrade)
-    before = metrics().snapshot() if collect_metrics else None
     try:
         with cancel.deadline_scope(deadline_s):
             payload = execute_request(
@@ -323,6 +318,4 @@ def execute_envelope(
             500, f"{type(exc).__name__}: {exc}", request.request_id,
             kind=type(exc).__name__,
         )
-    if before is not None:
-        envelope["metrics"] = metrics().diff_since(before)
     return envelope

@@ -66,7 +66,11 @@ class DesignServer:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        self.pool = SupervisedPool(config)
+        self.pool = SupervisedPool(
+            config.workers,
+            stall_s=config.effective_stall_s(),
+            deadline_s=config.deadline_s,
+        )
         self.breakers = BreakerBoard(
             threshold=config.breaker_threshold,
             reset_after=config.breaker_reset_s,

@@ -7,15 +7,21 @@ import pytest
 
 from repro.perf import cache as cache_mod
 from repro.perf.cache import cache_dir, cached, digest_of, set_cache_enabled
+from repro.reliability.faults import no_faults
 
 
 @pytest.fixture
 def tmp_cache(monkeypatch, tmp_path):
-    """Point the cache at a fresh directory and make sure it is on."""
+    """Point the cache at a fresh directory and make sure it is on.
+
+    Ambient fault plans are disarmed (the CI chaos job arms cache_read
+    and cache_write, which would break these exact-count unit tests);
+    ``inject_faults`` inside a test still arms its own plan."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.setattr(cache_mod, "_runtime_enabled", True)
-    return tmp_path / "cache"
+    with no_faults():
+        yield tmp_path / "cache"
 
 
 def test_digest_is_deterministic_and_sensitive():

@@ -1,6 +1,7 @@
 """parallel_map: same answer as the list comprehension, in the same order,
 no matter how the pool behaves."""
 
+import contextlib
 import os
 
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from repro.obs.metrics import metrics, reset_metrics
 from repro.perf import parallel as parallel_mod
 from repro.perf.parallel import default_jobs, parallel_map
+from repro.reliability import faults
+from repro.reliability.errors import WorkerError
+from repro.reliability.faults import inject_faults
 
 
 def _square(x):
@@ -18,12 +22,22 @@ def _pid_of(_x):
     return os.getpid()
 
 
+def _call(thunk):
+    return thunk()
+
+
 def _explode(x):
     raise ValueError(f"boom {x}")
 
 
 def _interrupt(x):
     raise KeyboardInterrupt
+
+
+def _fire_crash(x):
+    """Hits the armed ``worker_crash`` point in the parent recompute too."""
+    faults.fire("worker_crash")
+    return x
 
 
 def test_serial_matches_comprehension():
@@ -42,6 +56,11 @@ def test_unpicklable_fn_falls_back_to_serial():
     assert parallel_map(lambda x: x + offset, items, jobs=2) == [
         x + 3 for x in items
     ]
+
+
+def test_unpicklable_items_are_computed_in_the_parent():
+    items = [lambda: 1, lambda: 2]  # lambdas cannot be sent to a worker
+    assert parallel_map(_call, items, jobs=2) == [1, 2]
 
 
 def test_worker_exceptions_propagate():
@@ -84,20 +103,38 @@ class TestKeyboardInterrupt:
 
     def test_pooled_interrupt_propagates_without_retries(self):
         reset_metrics()
-        with pytest.raises(KeyboardInterrupt):
+        # Hermetic against an ambient REPRO_FAULTS plan (the CI chaos
+        # job arms worker_crash, which would count real retries here).
+        with faults.no_faults(), pytest.raises(KeyboardInterrupt):
             parallel_map(_interrupt, [1, 2, 3], jobs=2)
         assert metrics().get("parallel.interrupts") == 1
         assert metrics().get("parallel.retries") == 0
         assert metrics().get("parallel.serial_fallbacks") == 0
 
-    def test_pooled_interrupt_reaps_workers(self):
+    @pytest.mark.parametrize(
+        "fn, raises, plan",
+        [
+            (_square, None, ""),
+            (_explode, ValueError, ""),
+            (_fire_crash, WorkerError, "worker_crash:1.0"),
+            (_interrupt, KeyboardInterrupt, ""),
+        ],
+        ids=["returns", "fn-raises", "worker-error", "interrupt"],
+    )
+    def test_pooled_interrupt_reaps_workers(self, fn, raises, plan):
+        """Every way out of a pooled run stops the pool: normal return,
+        the function's own exception, WorkerError, KeyboardInterrupt."""
         import multiprocessing
         import time
 
-        with pytest.raises(KeyboardInterrupt):
-            parallel_map(_interrupt, [1, 2, 3, 4], jobs=2)
-        # _reap() terminated the pool on the way out; give the OS a beat
-        # to deliver the signals, then assert no worker survived.
+        with contextlib.ExitStack() as stack:
+            if plan:
+                stack.enter_context(inject_faults(plan, propagate_env=True))
+            if raises is not None:
+                stack.enter_context(pytest.raises(raises))
+            parallel_map(fn, [1, 2, 3, 4], jobs=2)
+        # The pool terminated its workers on the way out; give the OS a
+        # beat to deliver the signals, then assert no worker survived.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
             if not [p for p in multiprocessing.active_children() if p.is_alive()]:

@@ -72,12 +72,6 @@ KNOB_CASES = [
         lambda value: value == pytest.approx(2.5),
     ),
     (
-        "REPRO_TASK_RETRIES",
-        "5",
-        parallel_mod.task_retries,
-        lambda value: value == 5,
-    ),
-    (
         "REPRO_FAULT_HANG_SECONDS",
         "1.5",
         faults_mod.hang_seconds,

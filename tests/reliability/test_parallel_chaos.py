@@ -8,7 +8,7 @@ never retried and propagate unchanged.
 
 import pytest
 
-from repro.perf.parallel import parallel_map, task_retries, task_timeout
+from repro.perf.parallel import parallel_map, task_timeout
 from repro.reliability import faults
 from repro.reliability.errors import WorkerError
 from repro.reliability.faults import inject_faults
@@ -42,8 +42,7 @@ class TestCrashIsolation:
         with inject_faults("worker_crash:0.5", seed=11, propagate_env=True):
             assert parallel_map(_square, ITEMS, jobs=2) == EXPECTED
 
-    def test_exhausted_retries_raise_worker_error_naming_item(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
+    def test_exhausted_retries_raise_worker_error_naming_item(self):
         with inject_faults("worker_crash:1.0", seed=5, propagate_env=True):
             with pytest.raises(WorkerError) as excinfo:
                 parallel_map(_fire_crash, [10, 20], jobs=2)
@@ -61,7 +60,6 @@ class TestCrashIsolation:
 class TestHangIsolation:
     def test_hung_worker_times_out_and_item_is_recovered(self, monkeypatch):
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.4")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "10")
         with inject_faults("worker_hang:1", seed=3, propagate_env=True):
             assert parallel_map(_square, [1, 2, 3, 4], jobs=2) == [1, 4, 9, 16]
@@ -83,13 +81,3 @@ class TestEnvKnobs:
         assert task_timeout() is None
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
         assert task_timeout() is None
-
-    def test_task_retries_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
-        assert task_retries() == 2
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "0")
-        assert task_retries() == 0
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "-3")
-        assert task_retries() == 0
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "many")
-        assert task_retries() == 2

@@ -208,6 +208,7 @@ class TestFaultPointChaos:
         crash it with a parse error before it answers."""
         from multiprocessing import Pipe
 
+        from repro.perf import parallel
         from repro.reliability import faults
         from repro.serve import pool
 
@@ -215,18 +216,21 @@ class TestFaultPointChaos:
         sleeps = []
         monkeypatch.setattr(pool.time, "sleep", sleeps.append)
         # worker_main is a process body: keep it from touching this
-        # process's signal handlers and registered listener fds.
+        # process's signal handlers, registered fds and nested-call flag.
         monkeypatch.setattr(pool.signal, "signal", lambda *args: None)
         monkeypatch.setattr(pool, "_close_inherited_fds", lambda: None)
+        monkeypatch.setattr(parallel, "_IN_WORKER", parallel._IN_WORKER)
         parent, child = Pipe()
         request = DesignRequest.from_payload({"trace": PAPER, "order": 2})
         try:
             parent.send(
                 {
                     "job_id": 7,
-                    "request": request,
-                    "degrade": (),
-                    "deadline_s": 60.0,
+                    "call": (
+                        pool.execute_envelope,
+                        (request,),
+                        {"degrade": (), "deadline_s": 60.0},
+                    ),
                 }
             )
             parent.send(None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.reliability.errors import DesignError, TraceError
@@ -148,9 +150,37 @@ class TestExecuteEnvelope:
         req = DesignRequest.from_payload(
             {"trace": PAPER * 2, "order": 2, "id": "a"}
         )
-        env = execute_envelope(req, collect_metrics=True)
+        env = execute_envelope(req)
         assert (env["status"], env["code"], env["id"]) == ("ok", 200, "a")
-        assert isinstance(env.get("metrics"), dict)
+
+    def test_pooled_job_counters_reach_the_parent_registry(self):
+        """The worker's cache traffic is merged into the parent's
+        registry: a cold request misses and writes in the worker, the
+        same request again hits there."""
+        from repro.obs.metrics import reset_metrics
+        from repro.perf.cache import cache_stats
+        from repro.serve.pool import SupervisedPool
+
+        req = DesignRequest.from_payload({"trace": PAPER * 3, "order": 2})
+
+        async def scenario():
+            pool = SupervisedPool(1)
+            await pool.start()
+            try:
+                first = await pool.submit(req)
+                cold = cache_stats()
+                second = await pool.submit(req)
+            finally:
+                await pool.stop()
+            return first, cold, second, cache_stats()
+
+        reset_metrics()
+        first, cold, second, warm = asyncio.run(scenario())
+        assert first["status"] == second["status"] == "ok"
+        assert first["payload"] == second["payload"]
+        assert cold.misses > 0 and cold.writes > 0 and cold.hits == 0
+        assert warm.hits > 0
+        assert (warm.misses, warm.writes) == (cold.misses, cold.writes)
 
     def test_deadline_maps_to_504(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")  # force a cold compute
