@@ -10,12 +10,9 @@ output of the state it lands in is the next prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.automata.dfa import DFA
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf.compiled import CompiledMoore
 
 BINARY_ALPHABET: Tuple[str, str] = ("0", "1")
 
@@ -113,25 +110,6 @@ class MooreMachine:
             state = self.step(state, symbol)
             outs.append(self.outputs[state])
         return outs
-
-    def __getstate__(self):
-        # The memoized compiled form holds large tables and is cheap to
-        # rebuild; keep it out of pickles (and the on-disk design cache).
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        return state
-
-    def compile(self) -> "CompiledMoore":
-        """Lower to a :class:`repro.perf.compiled.CompiledMoore` with batch
-        ``run_bits``/``run_states`` kernels.  Memoized per machine (the
-        dataclass is frozen, so the lowering can never go stale)."""
-        compiled = self.__dict__.get("_compiled")
-        if compiled is None:
-            from repro.perf.compiled import CompiledMoore
-
-            compiled = CompiledMoore(self)
-            object.__setattr__(self, "_compiled", compiled)
-        return compiled
 
     def reachable_states(self, roots: Optional[Iterable[int]] = None) -> Set[int]:
         frontier: List[int] = list(roots) if roots is not None else [self.start]

@@ -37,6 +37,7 @@ from repro.logic.cube import Cube
 from repro.logic.espresso import minimize as logic_minimize
 from repro.obs.metrics import metrics
 from repro.obs.tracing import trace_span
+from repro.perf.batched import BatchedMoore
 
 #: Stage names, in pipeline order, as reported in divergences.
 STAGES = (
@@ -309,8 +310,8 @@ def check_conformance(
                     f"{art.minimized.num_states} states",
                 )
 
-        # Stage 9: the compiled batch kernels and trace_outputs agree with
-        # the table-driven simulation on the full trace.
+        # Stage 9: the batch kernel and trace_outputs agree with the
+        # table-driven simulation on the full trace.
         want_outputs = oracles.oracle_moore_outputs(art.final, trace)
         got_outputs = art.final.trace_outputs("".join(str(b) for b in trace))
         if got_outputs != want_outputs:
@@ -319,12 +320,12 @@ def check_conformance(
                 "trace_outputs disagrees with the table-driven simulation "
                 f"at index {_first_mismatch(got_outputs, want_outputs)}",
             )
-        compiled = [int(o) for o in art.final.compile().run_bits(trace)]
-        if compiled != want_outputs:
+        stacked = BatchedMoore([art.final]).run_outputs(trace)[0].tolist()
+        if stacked != want_outputs:
             return diverge(
                 "sim.outputs",
-                "compiled run_bits disagrees with the table-driven "
-                f"simulation at index {_first_mismatch(compiled, want_outputs)}",
+                "BatchedMoore run_outputs disagrees with the table-driven "
+                f"simulation at index {_first_mismatch(stacked, want_outputs)}",
             )
 
         # Stage 10: the designed machine can never beat the exact optimal

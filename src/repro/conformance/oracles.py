@@ -21,8 +21,8 @@ Inventory:
                                length L straight off the regex AST
 ``machine_language``           language of an automaton by running every
                                string up to length L
-``oracle_moore_outputs``       table-driven Moore simulation (vs the
-                               compiled batch kernels)
+``oracle_moore_outputs``       table-driven Moore simulation (vs
+                               ``perf.batched``'s ``BatchedMoore``)
 ``oracle_banked_replay``       dict-of-states replay of an indexed table
                                of machines (vs ``perf.batched``'s
                                ``banked_replay``)
@@ -259,7 +259,7 @@ def moore_language(machine: MooreMachine, max_len: int) -> FrozenSet[str]:
 
 
 # ----------------------------------------------------------------------
-# Moore simulation (vs the compiled batch kernels)
+# Moore simulation (vs the BatchedMoore kernel)
 # ----------------------------------------------------------------------
 
 
@@ -267,8 +267,8 @@ def oracle_moore_outputs(
     machine: MooreMachine, bits: Sequence[int], start: Optional[int] = None
 ) -> List[int]:
     """Outputs of the states visited while consuming ``bits``: the
-    table-driven reference for ``MooreMachine.trace_outputs`` and the
-    compiled ``run_bits`` fast path."""
+    table-driven reference for ``MooreMachine.trace_outputs`` and
+    ``BatchedMoore.run_outputs``."""
     state = machine.start if start is None else start
     outputs: List[int] = []
     for bit in bits:

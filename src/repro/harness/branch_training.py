@@ -144,9 +144,9 @@ def fsm_correct_counts(
     state is its prediction.  Returns ``{pc: (executions, correct)}``.
 
     Fast path: under update-all, every machine walks the same global
-    outcome stream independently of where its own branch sits, so each
-    machine's whole state trajectory is one compiled ``run_states`` batch;
-    the per-branch tally is a couple of gathers over that trajectory.
+    outcome stream independently of where its own branch sits, so one
+    :class:`~repro.perf.batched.BatchedMoore` run yields every machine's
+    state trajectory; the per-branch tally is a couple of gathers over it.
     """
     if machines and len(trace.pcs) >= batched.BATCH_THRESHOLD:
         outcomes = _as_bit_array(trace.outcomes)
@@ -154,14 +154,11 @@ def fsm_correct_counts(
             pcs = _np.asarray(trace.pcs, dtype=_np.int64)
             items = list(machines.items())
             result: Dict[int, Tuple[int, int]] = {}
-            # One stacked pass covers every machine (they all consume the
-            # same global outcome stream), replacing a compile + run per
-            # machine with a single BatchedMoore run.
-            states_all = None
-            if len(items) > 1:
-                states_all = batched.BatchedMoore(
-                    [machine for _pc, machine in items]
-                ).run_states(outcomes)
+            # One stacked pass covers every machine: they all consume the
+            # same global outcome stream.
+            states_all = batched.BatchedMoore(
+                [machine for _pc, machine in items]
+            ).run_states(outcomes)
             for m, (pc, machine) in enumerate(items):
                 idx = _np.flatnonzero(pcs == pc)
                 execs = int(idx.size)
@@ -169,16 +166,12 @@ def fsm_correct_counts(
                 if execs and machine.num_states == 1:
                     correct = int((outcomes[idx] == machine.outputs[0]).sum())
                 elif execs:
-                    if states_all is not None:
-                        states_after = states_all[m]
-                    else:
-                        states_after = machine.compile().run_states(outcomes)
                     outputs = _np.asarray(machine.outputs, dtype=_np.int64)
                     # The machine predicts from the state *before* each
                     # record: after[i-1], or the start state at i == 0.
                     before = _np.empty(execs, dtype=_np.int64)
                     nonzero = idx > 0
-                    before[nonzero] = states_after[idx[nonzero] - 1]
+                    before[nonzero] = states_all[m, idx[nonzero] - 1]
                     before[~nonzero] = machine.start
                     correct = int((outputs[before] == outcomes[idx]).sum())
                 result[pc] = (execs, correct)

@@ -40,7 +40,6 @@ from repro.harness.branch_training import (
     rank_by_improvement,
 )
 from repro.harness.reporting import format_table
-from repro.perf.batched import batched_map
 from repro.predictors.base import simulate_predictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.local_global import LocalGlobalChooser
@@ -201,10 +200,9 @@ def _panel_series(
     )
 
     gshare_series = Series(name="gshare")
-    gshare_predictors = [GSharePredictor(bits) for bits in gshare_bits]
-    for predictor, stats in zip(
-        gshare_predictors, batched_map(gshare_predictors, eval_trace)
-    ):
+    for bits in gshare_bits:
+        predictor = GSharePredictor(bits)
+        stats = simulate_predictor(predictor, eval_trace)
         gshare_series.points.append(
             SeriesPoint(
                 predictor.name.replace("gshare-", "2^"),
@@ -215,10 +213,9 @@ def _panel_series(
     series["gshare"] = gshare_series
 
     lgc_series = Series(name="lgc")
-    lgc_predictors = [LocalGlobalChooser(bits) for bits in lgc_bits]
-    for predictor, stats in zip(
-        lgc_predictors, batched_map(lgc_predictors, eval_trace)
-    ):
+    for bits in lgc_bits:
+        predictor = LocalGlobalChooser(bits)
+        stats = simulate_predictor(predictor, eval_trace)
         lgc_series.points.append(
             SeriesPoint(
                 predictor.name.replace("lgc-", "2^"),

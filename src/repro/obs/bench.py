@@ -3,7 +3,7 @@
 ``python -m repro bench`` runs a reduced-scale pass over the repo's two
 headline figure drivers (fig2 value confidence, fig5 branch
 misprediction), the design-flow scaling sweep from ``benchmarks/``, and
-the compiled-kernel micro benchmark, all with tracing armed -- and writes
+the Moore-kernel micro benchmark, all with tracing armed -- and writes
 one schema-versioned JSON snapshot:
 
 * ``timings``   -- wall seconds per driver, plus the kernel speedup;
@@ -57,13 +57,14 @@ def _timed(name: str, fn, timings: List[Dict[str, Any]]) -> Any:
 
 
 def _kernel_speedup(bits: int) -> Optional[float]:
-    """Compiled batch kernel vs the per-symbol loop; None when the batch
-    run is too fast for the clock to resolve."""
+    """One-machine batch kernel vs the per-symbol loop; None when the
+    batch run is too fast for the clock to resolve."""
     import random
 
     import numpy as np
 
     from repro.automata.moore import MooreMachine
+    from repro.perf.batched import BatchedMoore
 
     rng = random.Random(2001)
     num_states = 12
@@ -76,11 +77,11 @@ def _kernel_speedup(bits: int) -> Optional[float]:
             for _ in range(num_states)
         ),
     )
-    compiled = machine.compile()
+    kernel = BatchedMoore([machine])
     stream = np.random.default_rng(7).integers(0, 2, size=bits)
     text = "".join("1" if b else "0" for b in stream.tolist())
     start = time.perf_counter()
-    compiled.run_bits(stream)
+    kernel.run_outputs(stream)
     batch = time.perf_counter() - start
     start = time.perf_counter()
     machine.trace_outputs(text)

@@ -1,20 +1,24 @@
-"""Machine-batched simulation kernels.
+"""Moore-machine simulation kernels.
 
-:class:`~repro.perf.compiled.CompiledMoore` batches over the *bits* of one
-machine; the figure sweeps batch over *machines* too.  Two kernels cover
-every sweep shape in the harness:
+``MooreMachine.step``/``trace_outputs`` cost a Python-level walk per
+symbol; figure runs consume hundreds of thousands of symbols per machine,
+and the opt(k) oracle simulates every canonical k-state structure.  Two
+kernels cover every shape:
 
 ``BatchedMoore``
-    M machines consuming the **same** bit stream (the update-all policy of
-    Section 7.3, and any designed-FSM family evaluated over one trace).
-    The M transition tables are stacked into one ``(M, S, 2)`` array padded
-    to the widest state count; one gather per block step advances the whole
-    stack, reusing ``CompiledMoore``'s block-precomposition trick.  Block
-    tables store *machine-offset-encoded* values (``m*P*S + s``) in the
-    narrowest dtype that fits, so threading states through blocks is one
-    add plus one flat gather per step, and the start-of-block states come
-    from a chunked three-pass scan instead of a log-depth map-composition
-    recursion (see :meth:`BatchedMoore._scan_chunked`).
+    M machines consuming the **same** bit stream: one designed machine
+    (the stack ``[machine]``), a designed-FSM family under the update-all
+    policy of Section 7.3, a GA population, or an oracle shard given as
+    one ``(M, k, 2)`` transition array.  Transition tables are stacked and
+    padded to the widest state count.  Transitions are precomposed over
+    *blocks* of ``B`` bits, so one lookup advances a state ``B`` symbols;
+    a walk threads every machine's state through the block sequence, and
+    ``B`` gathers then expand every block's interior in parallel.  The
+    block width and the walk (one flat gather per block, or a chunked
+    scan for small stacks) follow from the shape ``(M, S, N)`` alone; see
+    :func:`_plan`.  :meth:`BatchedMoore.visit_counts` reads per-(state,
+    bit) visit counts from the same walk, one ``bincount`` per block
+    position.
 
 ``banked_replay``
     One machine replicated across the entries of an indexed table (gshare
@@ -26,23 +30,32 @@ every sweep shape in the harness:
     variant (``update_mask``) models the LGC chooser, which is read on
     every branch but trained only on disagreement.
 
-Both kernels are bit-identical to the per-event loops they replace (the
-``tests/perf`` property suites pin this; ``banked_replay``'s reference is
-:func:`repro.conformance.oracles.oracle_banked_replay`).  Callers keep
-those loops for inputs below :data:`BATCH_THRESHOLD`, where array setup
-costs more than it saves.
+Both kernels are bit-identical to the per-event loops they replace; the
+``tests/perf`` property suites pin them against
+:mod:`repro.conformance.oracles` (``oracle_moore_outputs``,
+``oracle_banked_replay``).  Callers keep those loops for inputs below
+:data:`BATCH_THRESHOLD`, where array setup costs more than it saves.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.perf.compiled import _block_bits
-
 # Below this many events the per-event loop beats array setup.
 BATCH_THRESHOLD = 2048
+
+
+def _block_bits(num_states: int) -> int:
+    """Block width of :func:`banked_replay`: biggest table that stays a
+    few MB."""
+    if num_states <= 16:
+        return 16
+    if num_states <= 256:
+        return 12
+    return 8
 
 
 def backend_info() -> Dict[str, object]:
@@ -64,14 +77,45 @@ def _check_binary(machine) -> None:
 # Kernel A: M machines x one shared bit stream
 # ----------------------------------------------------------------------
 
+#: Cost model behind :func:`_plan`, in units of one gathered element
+#: (measured on a 2-vCPU x86 host): the fixed overhead of one numpy
+#: call, and the build cost of one block-table element including its
+#: doubling intermediates.
+_CALL_COST = 600
+_BUILD_COST = 2
+#: Block tables stay under this many int32 elements (16 MB).
+_MAX_TABLE = 1 << 22
+#: Encoded elements per :meth:`BatchedMoore.visit_counts` chunk.
+_COUNT_CHUNK = 1 << 22
+
+
+def _plan(M: int, S: int, N: int) -> Tuple[bool, int]:
+    """``(direct, B)`` for M machines of at most S states over N bits.
+
+    A direct walk step gathers one state per machine and costs about a
+    numpy call; a chunked-scan step composes all S states of every
+    machine (see :meth:`BatchedMoore._block_starts`), so the walk follows
+    from the shape alone.  ``B`` minimizes the modeled table build
+    (``M*S*2**B`` elements) plus the walk over ``N/B`` blocks; it never
+    shrinks as ``N`` grows.
+    """
+    direct = M * S > _CALL_COST
+    step = _CALL_COST + M if direct else M * (S + 1)
+    widths = [1] + [b for b in range(2, 17) if (M * S) << b <= _MAX_TABLE]
+    return direct, min(
+        widths, key=lambda b: ((M * S) << b) * _BUILD_COST + N * step / b
+    )
+
+
 class BatchedMoore:
     """A stack of binary-alphabet Moore machines lowered to one table.
 
     ``run_states(bits)`` returns the ``(M, N)`` matrix of states *after*
     each consumed bit, machine ``m``'s row bit-identical to
-    ``CompiledMoore(machines[m]).run_states(bits)``.  Machines may have
-    heterogeneous state counts; tables are padded to the widest machine
-    with self-loop rows that no reachable state ever indexes.
+    ``machines[m]``'s own walk; one machine is the stack ``[machine]``.
+    Machines may have heterogeneous state counts; tables are padded to
+    the widest machine with self-loop rows that no reachable state ever
+    indexes.
     """
 
     def __init__(self, machines: Iterable[object]) -> None:
@@ -80,14 +124,8 @@ class BatchedMoore:
             raise ValueError("BatchedMoore needs at least one machine")
         for machine in machines:
             _check_binary(machine)
-        self.machines = machines
-        self.num_machines = len(machines)
-        self.state_counts = [m.num_states for m in machines]
-        self.max_states = max(self.state_counts)
-        self.starts = [m.start for m in machines]
-        M, S = self.num_machines, self.max_states
-        # Padded stacked tables: rows for states a machine does not have
-        # self-loop, so the doubling composition below stays in range.
+        M = len(machines)
+        S = max(m.num_states for m in machines)
         delta = _np.tile(
             _np.arange(S, dtype=_np.int64)[None, :, None], (M, 1, 2)
         )
@@ -96,128 +134,181 @@ class BatchedMoore:
             n = machine.num_states
             delta[m, :n, :] = _np.asarray(machine.transitions, dtype=_np.int64)
             outputs[m, :n] = _np.asarray(machine.outputs, dtype=_np.int64)
-        self._delta = delta
-        self._outputs = outputs
-        self._starts_arr = _np.asarray(self.starts, dtype=_np.int64)
-        # States fit a narrow dtype; gathers through block tables are
-        # memory-bound, so shrinking the element size is a direct speedup.
-        self._vdt = _np.uint8 if S <= 256 else _np.int64
-        # Interior-expansion delta with the machine offset *and* the output
-        # bit folded into the value: enc[m, s, b] = ((m*S + s') << 1) |
+        self._lower(delta, outputs, [m.start for m in machines])
+
+    @classmethod
+    def from_tables(cls, delta) -> "BatchedMoore":
+        """A stack given as one array, ``delta[m, s, bit]`` machine
+        ``m``'s successor of ``s``; every machine starts in state 0 and
+        outputs 0 (what :meth:`visit_counts` callers need)."""
+        delta = _np.asarray(delta, dtype=_np.int64)
+        M, S = delta.shape[:2]
+        stack = cls.__new__(cls)
+        stack._lower(delta, _np.zeros((M, S), dtype=_np.int64), [0] * M)
+        return stack
+
+    def _lower(self, delta, outputs, starts) -> None:
+        M, S = delta.shape[:2]
+        self.num_machines, self.max_states = M, S
+        self._starts_arr = _np.asarray(starts, dtype=_np.int64)
+        self._base_q = _np.arange(M, dtype=_np.int64) * S
+        # Narrow state values: block-table builds and scans are
+        # memory-bound, so the element size is a direct cost.
+        vdt = _np.uint8 if S <= 256 else _np.uint16 if S <= 65536 else _np.int32
+        self._step = delta.transpose(0, 2, 1).astype(vdt)  # (M, 2, S)
+        # The per-bit delta with the machine offset *and* the output bit
+        # folded into the value: enc[m, s, b] = ((m*S + s') << 1) |
         # out[m, s'].  Advancing the whole stack one bit is then a single
         # add plus a single flat gather, and run_outputs is a bit mask.
         midx = _np.arange(M, dtype=_np.int64)
-        self._base_q = midx * S  # encoded-state offset per machine
         enc = (
             ((self._base_q[:, None, None] + delta) << 1)
             | outputs[midx[:, None, None], delta]
         )
-        self._enc_delta_flat = _np.ascontiguousarray(enc, dtype=_np.int32
-                                                     ).reshape(-1)
-        # Block tables are built lazily per width (see _table): short
-        # streams stop at B=10 where the (M, 2**B, S) build is cheap, long
-        # streams pay for B=12 once and amortize it over 4x fewer blocks.
-        self._pow_tables: Dict[int, object] = {
-            1: delta.transpose(0, 2, 1).astype(self._vdt)  # (M, 2, S)
-        }
-        self._tables: Dict[int, Tuple[object, object]] = {}
+        self._enc_delta_flat = _np.ascontiguousarray(
+            enc, dtype=_np.int32
+        ).reshape(-1)
+        self._tables: Dict[int, object] = {}
 
     def _table(self, B: int):
-        """``(block_table, enc_flat)`` for width ``B``, built on demand.
+        """The width-``B`` block table, flat int32, built once per width.
 
-        ``block_table`` is ``(M, 2**B, S)`` in the narrow value dtype:
-        power-of-two tables by doubling, then the set bits of B composed
-        lowest-first, exactly mirroring CompiledMoore but batched over
-        machines.  ``enc_flat`` (scan path only, ``S <= 64``) carries the
-        same table with the machine offset folded into the values
-        (``m*P*S + s``) and flattened, so one flat gather steps every
-        machine through its own block map.
+        Entry ``m*P*S + p*S + s`` (``P = 2**B``) holds ``m*P*S + s'``:
+        machine ``m`` in state ``s`` reaches ``s'`` after consuming the
+        ``B`` bits of pattern ``p`` (first-consumed bit in the LSB).  The
+        machine offset in the value makes a step one add and one flat
+        gather.  Built by doubling power-of-two tables, then composing the
+        set bits of ``B`` lowest-first.
         """
-        cached = self._tables.get(B)
-        if cached is not None:
-            return cached
-        M, S = self.num_machines, self.max_states
-        pow_tables = self._pow_tables
-        k = 1
-        while 2 * k <= B:
-            if 2 * k not in pow_tables:
-                pow_tables[2 * k] = _compose_batch(
-                    pow_tables[k], pow_tables[k]
-                )
-            k *= 2
-        table = None
-        for k in sorted(pow_tables):
-            if not B & k:
-                continue
-            t = pow_tables[k]
-            table = t if table is None else _compose_batch(t, table)
-        enc_flat = None
-        if S <= 64:
-            P = table.shape[1]
-            base = (_np.arange(M, dtype=_np.int64) * (P * S)).astype(
-                _np.int32
-            )
-            enc_flat = _np.ascontiguousarray(
-                table.astype(_np.int32) + base[:, None, None]
-            ).reshape(-1)
-        cached = (table, enc_flat)
-        self._tables[B] = cached
-        return cached
+        table = self._tables.get(B)
+        if table is None:
+            M, S = self.num_machines, self.max_states
+            pow_tables = {1: self._step}
+            k = 1
+            while 2 * k <= B:
+                pow_tables[2 * k] = _compose_batch(pow_tables[k], pow_tables[k])
+                k *= 2
+            composed = None
+            for k in sorted(pow_tables):
+                if B & k:
+                    t = pow_tables[k]
+                    composed = t if composed is None else _compose_batch(t, composed)
+            base = _np.arange(M, dtype=_np.int32) * ((1 << B) * S)
+            table = (composed + base[:, None, None]).reshape(-1)
+            self._tables[B] = table
+        return table
 
     # ------------------------------------------------------------------
-    def _run_encoded(self, bits_arr):
-        """The encoded-state matrix ``(M, N)`` int32: each element is
-        ``((m*S + s) << 1) | out[m, s]`` for the state ``s`` reached after
-        the corresponding bit."""
-        N = bits_arr.shape[0]
-        M, S = self.num_machines, self.max_states
+    def _start_codes(self):
+        """Encoded start states ``(m*S + s) << 1`` (output bit clear)."""
+        return ((self._base_q + self._starts_arr) << 1).astype(_np.int32)
+
+    def _blocks(self, bits_arr, c, plan):
+        """Split ``bits_arr`` into ``B``-bit blocks and find every
+        machine's encoded state before each, starting from ``c``.
+
+        Returns ``(blk, pre)``: ``blk[j]`` the bit at position ``j`` of
+        every block (``(B, nblocks)`` int32) and ``pre`` the ``(M,
+        nblocks)`` encoded pre-block states, output bit clear.
+        """
+        direct, B = plan
+        nblocks = bits_arr.shape[0] // B
+        if not nblocks:
+            empty = _np.empty((0, 0), dtype=_np.int32)
+            return empty, empty.reshape(self.num_machines, 0)
+        blocked = bits_arr[: nblocks * B].reshape(nblocks, B)
+        patterns = blocked @ _np.left_shift(1, _np.arange(B))
+        states = (c >> 1) - self._base_q.astype(_np.int32)
+        starts = self._block_starts(patterns, states, B, direct)
+        pre = ((self._base_q[:, None] + starts) << 1).astype(_np.int32)
+        return _np.ascontiguousarray(blocked.T).astype(_np.int32), pre
+
+    def _run(self, bits):
+        """The ``(M, N)`` encoded states ``((m*S + s) << 1) | out[m, s]``
+        after each bit."""
+        bits_arr = _np.asarray(bits, dtype=_np.int64)
+        M, N = self.num_machines, bits_arr.shape[0]
+        plan = _plan(M, self.max_states, N)
         enc = _np.empty((M, N), dtype=_np.int32)
-        cur = self._starts_arr.copy()
-        if S <= 64:
-            # Build/run balance: B=10 keeps the (M, 2**B, S) build cheap
-            # for sweep-sized streams; long streams amortize the B=12
-            # build over 4x fewer blocks (both measured).
-            B = 12 if N >= 12 * 4096 else 10
-        else:
-            B = _block_bits(S)
-        nblocks = N // B
-        # Encoded current state; the output bit of the pre-block state is
-        # irrelevant (indexing masks it off), so 0 is fine.
-        c = ((self._base_q + cur) << 1).astype(_np.int32)
         enc_flat = self._enc_delta_flat
+        c = self._start_codes()
+        blk, pre = self._blocks(bits_arr, c, plan)
+        nblocks = pre.shape[1]
         if nblocks:
-            blocked = bits_arr[: nblocks * B].reshape(nblocks, B)
-            weights = _np.left_shift(
-                _np.int64(1), _np.arange(B, dtype=_np.int64)
-            )
-            patterns = blocked @ weights
-            if S <= 64:
-                starts = self._scan_chunked(patterns, cur, B)
-            else:
-                table, _ = self._table(B)
-                starts = _np.empty((M, nblocks), dtype=_np.int64)
-                midx = _np.arange(M)
-                for i, p in enumerate(patterns.tolist()):
-                    starts[:, i] = cur
-                    cur = table[midx, p, cur]
             # Interior expansion: one add + one flat gather per bit
             # position, across all machines and all blocks at once.
-            c = ((self._base_q[:, None] + starts) << 1).astype(_np.int32)
-            blk = _np.ascontiguousarray(blocked.T).astype(_np.int32)
-            mat = enc[:, : nblocks * B].reshape(M, nblocks, B)
-            for j in range(B):
-                c = enc_flat[(c & -2) + blk[j]]
-                mat[:, :, j] = c
-            c = _np.ascontiguousarray(c[:, -1])
-        for k in range(nblocks * B, N):
-            c = enc_flat[(c & -2) + _np.int32(bits_arr[k])]
+            mat = enc[:, : blk.size].reshape(M, nblocks, -1)
+            for j, col in enumerate(blk):
+                pre = enc_flat.take((pre & -2) + col)
+                mat[:, :, j] = pre
+            c = pre[:, -1]
+        for k in range(blk.size, N):
+            c = enc_flat.take((c & -2) + int(bits_arr[k]))
             enc[:, k] = c
         return enc
 
+    def _block_starts(self, patterns, states, B: int, direct: bool):
+        """The state of every machine before every block, ``(M, nblocks)``.
+
+        Threading one state per machine through the block maps is the
+        only sequential dependency in a run.  The *direct* walk takes one
+        flat gather per block across the whole stack.  For small stacks
+        that gather is mostly call overhead, so the *chunked scan* splits
+        the ``nblocks`` blocks into ``C`` chunks of ``K`` and threads in
+        three passes, each a short Python loop:
+
+        1. compose every chunk's maps with a K-step walk of all S start
+           states, vectorized over machines and chunks;
+        2. thread the start state through the C chunk maps;
+        3. recover per-block starts inside every chunk with a second
+           K-step walk from the chunk entry states.
+        """
+        M, S = self.num_machines, self.max_states
+        nblocks = patterns.shape[0]
+        table = self._table(B)
+        base = _np.arange(M, dtype=_np.int32) * ((1 << B) * S)
+        scaled = (patterns * S).astype(_np.int32)
+        if direct:
+            rows = _np.empty((nblocks, M), dtype=_np.int32)
+            c = base + states
+            for i, off in enumerate(scaled.tolist()):
+                rows[i] = c
+                c = table.take(c + off)
+            return rows.T - base[:, None]
+        C = max(1, min(nblocks, math.isqrt(2 * nblocks)))
+        K = -(-nblocks // C)
+        # Pad the tail chunk with pattern 0: its garbage composition is
+        # never read (entries stop at the last real chunk, and pass 3's
+        # padded starts are sliced off).
+        padded = _np.zeros(C * K, dtype=_np.int32)
+        padded[:nblocks] = scaled
+        cols = _np.ascontiguousarray(padded.reshape(C, K).T)  # (K, C)
+        # Pass 1: chunk maps.
+        x = _np.broadcast_to(
+            base[:, None, None] + _np.arange(S, dtype=_np.int32), (M, C, S)
+        )
+        for j in range(K):
+            x = table.take(x + cols[j][:, None])
+        chunk_maps = (x - base[:, None, None]).reshape(-1)
+        # Pass 2: thread the start state through the chunk maps.
+        entries = _np.empty((C, M), dtype=_np.int32)
+        map_base = _np.arange(M, dtype=_np.int32) * (C * S)
+        s = states
+        for ci in range(C):
+            entries[ci] = s
+            s = chunk_maps.take(map_base + ci * S + s)
+        # Pass 3: per-block starts inside each chunk.
+        starts = _np.empty((M, C, K), dtype=_np.int32)
+        c = base[:, None] + entries.T
+        for j in range(K):
+            starts[:, :, j] = c
+            c = table.take(c + cols[j])
+        return starts.reshape(M, C * K)[:, :nblocks] - base[:, None]
+
+    # ------------------------------------------------------------------
     def run_states(self, bits: Sequence[int]):
         """States after each consumed bit: ``(M, N)`` array."""
-        bits_arr = _np.asarray(bits, dtype=_np.int64)
-        enc = self._run_encoded(bits_arr)
+        enc = self._run(bits)
         return (enc >> 1) - self._base_q.astype(_np.int32)[:, None]
 
     def pre_states(self, bits: Sequence[int]):
@@ -234,8 +325,7 @@ class BatchedMoore:
         """Outputs of the visited states -- the stacked analogue of
         :meth:`MooreMachine.trace_outputs`."""
         # The output bit rides in the encoded state's LSB: no gather.
-        enc = self._run_encoded(_np.asarray(bits, dtype=_np.int64))
-        return enc & 1
+        return self._run(bits) & 1
 
     def final_states(self, bits: Sequence[int]):
         after = self.run_states(bits)
@@ -243,94 +333,47 @@ class BatchedMoore:
             return self._starts_arr.copy()
         return after[:, -1].copy()
 
-    # ------------------------------------------------------------------
-    def _scan_chunked(self, patterns, cur0, B: int):
-        """Start-of-block states ``(M, nblocks)`` via a chunked scan.
+    def visit_counts(self, bits: Sequence[int]):
+        """``counts[m, s, b]``: how often machine ``m`` was in state ``s``
+        when bit ``b`` arrived, ``(M, S, 2)``.
 
-        Threading one state per machine through ``nblocks`` block maps is
-        the only sequential dependency in the batch pass.  Splitting the
-        block sequence into ``C`` contiguous chunks breaks it three ways:
-
-        1. compose each chunk's maps with a K-step walk vectorized over
-           all chunks (one pass over the data -- no log-depth recursion
-           and no materialized ``(M, nblocks, S)`` map tensor);
-        2. thread the start state through the C chunk maps sequentially
-           (C tiny Python steps);
-        3. recover per-block starts inside every chunk with a second
-           K-step walk from the chunk entry states.
-
-        Pass 1 carries almost all the work (it touches every block map
-        for every carried state), so it runs per machine over each
-        machine's *true* state count in the narrow value dtype -- padding
-        states and int32 traffic would roughly double it.  Passes 2 and 3
-        are tiny and stay batched over machines.
+        The stream is walked in chunks of about :data:`_COUNT_CHUNK`
+        encoded elements, each chunk starting from the previous chunk's
+        end states.  Stepping from an output-free encoded pre-state, the
+        gather index ``pre + bit`` is the count slot of ``(m, s, bit)``,
+        so each block position's slots land with one ``bincount``.
         """
+        bits_arr = _np.asarray(bits, dtype=_np.int64)
         M, S = self.num_machines, self.max_states
-        nblocks = patterns.shape[0]
-        block_table, enc_flat = self._table(B)
-        P = 1 << B
-        base = (_np.arange(M, dtype=_np.int64) * (P * S)).astype(_np.int32)
-        if nblocks <= 64:
-            starts = _np.empty((M, nblocks), dtype=_np.int64)
-            c = base + cur0.astype(_np.int32)
-            scaled = (patterns * S).astype(_np.int32)
-            for i in range(nblocks):
-                starts[:, i] = c
-                c = enc_flat[c + scaled[i]]
-            return starts - base[:, None]
-        C = min(1024, nblocks)
-        K = -(-nblocks // C)
-        scaled = _np.zeros(C * K, dtype=_np.int32)
-        # Pad the tail chunk with pattern 0: its garbage composition is
-        # never read (entries stop at the last real chunk, and pass 3's
-        # padded starts are sliced off).
-        _np.multiply(patterns, S, out=scaled[:nblocks], casting="unsafe")
-        scaled = scaled.reshape(C, K)
-        # Pass 1: chunk maps as plain per-machine states, ragged walk.
-        cm = _np.empty((M, C, S), dtype=self._vdt)
-        scaled_cols = _np.ascontiguousarray(scaled.T)  # (K, C)
-        for m in range(M):
-            sm = self.state_counts[m]
-            flat_m = block_table[m].reshape(-1)  # (P * S,), row stride S
-            x = _np.broadcast_to(
-                _np.arange(sm, dtype=self._vdt), (C, sm)
-            )
-            for j in range(K):
-                x = flat_m[scaled_cols[j][:, None] + x]
-            cm[m, :, :sm] = x
-        # Pass 2: thread the start state through the chunk maps.
-        cm_flat = cm.reshape(-1)
-        cm_base = (_np.arange(M, dtype=_np.int64) * (C * S)).astype(
-            _np.int32
-        )
-        entries = _np.empty((M, C), dtype=_np.int32)
-        c = cur0.astype(_np.int32)
-        for ci in range(C):
-            entries[:, ci] = c
-            c = cm_flat[cm_base + ci * S + c]
-        # Pass 3: per-block starts inside each chunk (encoded domain).
-        starts_ck = _np.empty((M, C, K), dtype=_np.int32)
-        c = base[:, None] + entries
-        for j in range(K):
-            starts_ck[:, :, j] = c
-            c = enc_flat[c + scaled[:, j][None, :]]
-        starts = starts_ck.reshape(M, C * K)[:, :nblocks]
-        return (starts - base[:, None]).astype(_np.int64)
+        plan = _plan(M, S, bits_arr.shape[0])
+        B = plan[1]
+        even = self._enc_delta_flat & -2  # the stepping table, outputs off
+        counts = _np.zeros(2 * M * S, dtype=_np.int64)
+        c = self._start_codes()
+        step = max(B, _COUNT_CHUNK // M // B * B)
+        for lo in range(0, bits_arr.shape[0], step):
+            chunk = bits_arr[lo : lo + step]
+            blk, pre = self._blocks(chunk, c, plan)
+            for col in blk:
+                slots = pre + col
+                pre = even.take(slots)
+                counts += _np.bincount(slots.reshape(-1), minlength=2 * M * S)
+            if pre.shape[1]:
+                c = pre[:, -1]
+            for bit in chunk[blk.size :].tolist():
+                slots = c + bit
+                c = even.take(slots)
+                counts[slots] += 1
+        return counts.reshape(M, S, 2)
 
 
 def _compose_batch(hi, lo):
     """Compose stacked pattern tables: ``r[m, h*P_lo + l, s] =
     hi[m, h, lo[m, l, s]]`` (flattened pattern index ``(h << lo_bits) | l``,
-    matching CompiledMoore's layout)."""
+    first-consumed bits low)."""
     M, P_hi, S = hi.shape
-    P_lo = lo.shape[1]
-    hi_b = _np.broadcast_to(hi[:, :, None, :], (M, P_hi, P_lo, S)).reshape(
-        M, P_hi * P_lo, S
-    )
-    lo_b = _np.broadcast_to(lo[:, None, :, :], (M, P_hi, P_lo, S)).reshape(
-        M, P_hi * P_lo, S
-    )
-    return _np.take_along_axis(hi_b, lo_b, axis=2)
+    rows = (_np.arange(M * P_hi, dtype=_np.int32) * S).reshape(M, P_hi, 1, 1)
+    return hi.reshape(-1)[rows + lo[:, None, :, :]].reshape(M, -1, S)
 
 
 # ----------------------------------------------------------------------
@@ -542,18 +585,12 @@ def banked_replay(
 # ----------------------------------------------------------------------
 
 def simulate_predictors_batched(predictors, trace, warmup: int = 0):
-    """Simulate a family of predictors over one trace.
+    """Simulate a family of predictors over one trace: exactly
+    :func:`repro.predictors.base.simulate_predictor` in a loop.
 
-    Per-predictor results (and predictor mutation) are identical to
-    calling :func:`repro.predictors.base.simulate_predictor` in a loop;
-    predictors exposing a ``_batch_simulate`` fast path take it, so a
-    figure's whole per-size family becomes a handful of vectorized
-    kernel calls instead of ``len(trace)``-iteration Python loops.
+    Nothing in the package calls it; ``benchmarks/e2e/spans.py`` wraps
+    it by name, so it stays until that table drops the row.
     """
     from repro.predictors.base import simulate_predictor
 
     return [simulate_predictor(p, trace, warmup=warmup) for p in predictors]
-
-
-# The harnesses call the sweep under this name; keep both exported.
-batched_map = simulate_predictors_batched

@@ -34,12 +34,14 @@ Three reductions make the exhaustive search tractable:
 
 Cost: the number of initially-connected binary structures with exactly
 k states is 1, 12, 216, 5248, 160675 for k = 1..5; the default
-``kmax = 4`` searches 5477 structures per trace.  Long traces are
-evaluated through a stacked numpy kernel (all structures stepped in one
-gather per bit, visit counts via one ``bincount`` per chunk); short
-traces use a plain python loop.  Per-(trace, k) results are memoized in
-the content-addressed cache keyed by trace digest, and the exactly-k
-sweep is sharded through ``durable_map`` so a killed run resumes.
+``kmax = 4`` searches 5477 structures per trace.  Each k's structures
+are enumerated once per process into one ``(count, 2k)`` table; a shard
+hands its slice to :class:`~repro.perf.batched.BatchedMoore` as one
+``(M, k, 2)`` stack, whose ``visit_counts`` walks the trace over block
+tables and ``bincount``s every structure's per-(state, bit) visits at
+once.  Per-(trace, k) results are memoized in the content-addressed
+cache keyed by trace digest, and the exactly-k sweep is sharded through
+``durable_map`` so a killed run resumes.
 
 The searched size defaults to :data:`DEFAULT_KMAX` (4); callers pass
 ``kmax`` up to :data:`MAX_KMAX` (k=5 costs ~30x k=4).
@@ -47,7 +49,6 @@ The searched size defaults to :data:`DEFAULT_KMAX` (4); callers pass
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,6 +58,7 @@ from repro.automata.hopcroft import hopcroft_minimize
 from repro.automata.moore import BINARY_ALPHABET, MooreMachine
 from repro.obs.metrics import metrics
 from repro.obs.tracing import trace_span
+from repro.perf.batched import BatchedMoore
 from repro.perf.cache import cached, digest_of
 from repro.reliability.durability import durable_map
 
@@ -71,10 +73,6 @@ MAX_KMAX = 5
 
 #: Structures per durable_map shard in the exactly-k sweep.
 SHARD_SIZE = 1024
-
-#: Above this many (bits x structures) steps the numpy kernel takes over.
-_NUMPY_CUTOVER = 200_000
-
 
 # ----------------------------------------------------------------------
 # Canonical structure enumeration
@@ -112,14 +110,24 @@ def enumerate_structures(k: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(1)
 
 
-_STRUCTURE_COUNTS: Dict[int, int] = {}
+_STRUCTURE_TABLES: Dict[int, np.ndarray] = {}
+
+
+def _structure_table(k: int) -> np.ndarray:
+    """Every exactly-k structure as one ``(count, 2k)`` array, row ``i``
+    the ``i``-th structure :func:`enumerate_structures` yields.  Built
+    once per process; shards slice it instead of re-enumerating."""
+    table = _STRUCTURE_TABLES.get(k)
+    if table is None:
+        table = np.array(list(enumerate_structures(k)), dtype=np.int8)
+        table = table.reshape(-1, 2 * k)
+        _STRUCTURE_TABLES[k] = table
+    return table
 
 
 def count_structures(k: int) -> int:
     """Number of isomorphism classes :func:`enumerate_structures` yields."""
-    if k not in _STRUCTURE_COUNTS:
-        _STRUCTURE_COUNTS[k] = sum(1 for _ in enumerate_structures(k))
-    return _STRUCTURE_COUNTS[k]
+    return len(_structure_table(k))
 
 
 # ----------------------------------------------------------------------
@@ -141,63 +149,21 @@ def _structure_cost(counts: Sequence[int], k: int) -> int:
     return sum(min(counts[2 * s], counts[2 * s + 1]) for s in range(k))
 
 
-def _evaluate_python(
-    bits: Sequence[int], structures: Sequence[Tuple[int, ...]], k: int
-) -> Tuple[int, int]:
-    best_cost = None
-    best_idx = -1
-    for idx, t in enumerate(structures):
-        cost = _structure_cost(_visit_counts(bits, t, k), k)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_idx = cost, idx
-    return int(best_cost), best_idx
-
-
-def _evaluate_numpy(
-    bits: Sequence[int], structures: Sequence[Tuple[int, ...]], k: int
-) -> Tuple[int, int]:
-    """Stacked kernel: all structures advance through the trace together
-    (one fancy-gather per bit over the whole shard), visit counts land
-    via one ``bincount`` per chunk.  Costs are exact -- bit-identical to
-    the python loop -- only the bookkeeping is vectorized."""
-    table = np.asarray(structures, dtype=np.int32)  # (M, 2k)
-    m = table.shape[0]
-    mach = np.arange(m)
-    bits_arr = np.asarray(bits, dtype=np.int32)
-    counts = np.zeros(m * 2 * k, dtype=np.int64)
-    offsets = mach * (2 * k)
-    states = np.zeros(m, dtype=np.int32)
-    chunk_rows = max(1, min(4096, (1 << 22) // max(1, m)))  # ~16MB of pre-states
-    pre = np.empty((chunk_rows, m), dtype=np.int32)
-    for start in range(0, len(bits_arr), chunk_rows):
-        chunk = bits_arr[start : start + chunk_rows]
-        for i in range(len(chunk)):
-            pre[i] = states
-            states = table[mach, states * 2 + chunk[i]]
-        idx = offsets[None, :] + pre[: len(chunk)] * 2 + chunk[:, None]
-        counts += np.bincount(idx.ravel(), minlength=m * 2 * k)
-    per_state = counts.reshape(m, k, 2)
-    costs = np.minimum(per_state[:, :, 0], per_state[:, :, 1]).sum(axis=1)
-    best_idx = int(costs.argmin())  # argmin: first minimum, deterministic
-    return int(costs[best_idx]), best_idx
-
-
 def _search_shard(item: Tuple[Tuple[int, ...], int, int, int]) -> Tuple[int, int]:
     """One durable_map shard: best (cost, global index) over structures
     [start, stop) of the exactly-k enumeration."""
     bits, k, start, stop = item
-    structures = list(itertools.islice(enumerate_structures(k), start, stop))
-    if not structures:
+    structures = _structure_table(k)[start:stop]
+    if not len(structures):
         return (len(bits), -1)  # worst possible; never wins
-    if len(bits) * len(structures) >= _NUMPY_CUTOVER:
-        cost, idx = _evaluate_numpy(bits, structures, k)
-    else:
-        cost, idx = _evaluate_python(bits, structures, k)
-    return (cost, start + idx)
+    stack = BatchedMoore.from_tables(structures.reshape(-1, k, 2))
+    costs = stack.visit_counts(bits).min(axis=2).sum(axis=1)
+    best = int(costs.argmin())  # argmin: first minimum, deterministic
+    return (int(costs[best]), start + best)
 
 
 def _nth_structure(k: int, index: int) -> Tuple[int, ...]:
-    return next(itertools.islice(enumerate_structures(k), index, None))
+    return tuple(_structure_table(k)[index].tolist())
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +324,7 @@ def machine_mispredicts(machine: MooreMachine, bits: Sequence[int]) -> int:
     if not bits:
         return 0
     if len(bits) >= 4096:
-        outs = np.asarray(machine.compile().run_bits(bits), dtype=np.int64)
+        outs = BatchedMoore([machine]).run_outputs(bits)[0]
         preds = np.empty(len(bits), dtype=np.int64)
         preds[0] = machine.outputs[machine.start]
         preds[1:] = outs[:-1]  # output after bit i predicts bit i+1

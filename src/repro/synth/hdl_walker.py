@@ -6,8 +6,8 @@ parses the emitted next-state and output case statements back into a
 transition table and steps that table like the register-transfer hardware
 would -- reset to the start state, then one ``outcome`` bit per clock,
 reading ``prediction`` combinationally from the current state.  Agreement
-with :meth:`MooreMachine.run_bits` on arbitrary traces is then asserted
-by the conformance tests, so a bug in either emitter shows up as a
+with :func:`repro.conformance.oracles.oracle_moore_outputs` on arbitrary
+traces is then asserted by the conformance tests, so a bug in either emitter shows up as a
 bit-exact mismatch instead of passing the shape checks.
 
 The walker is deliberately strict: it recognizes exactly the dialect the
@@ -47,7 +47,8 @@ class WalkedFSM:
     def run_bits(self, bits: Sequence[int]) -> List[int]:
         """Clock the walked register through ``bits`` after a reset,
         reading the prediction after every edge -- the same contract as
-        :meth:`MooreMachine.trace_outputs` / ``CompiledMoore.run_bits``."""
+        :meth:`MooreMachine.trace_outputs` and
+        :func:`repro.conformance.oracles.oracle_moore_outputs`."""
         state = self.start
         outputs: List[int] = []
         for bit in bits:

@@ -1,6 +1,7 @@
 """Property tests: the machine-batched kernels are exact.
 
-``BatchedMoore`` must agree with per-machine ``CompiledMoore``/
+``BatchedMoore`` must agree with the table-driven reference
+(:func:`repro.conformance.oracles.oracle_moore_outputs`) and
 ``MooreMachine.trace_outputs`` for arbitrary stacks (heterogeneous state
 counts, ragged padding, empty traces, single-machine stacks), and
 ``banked_replay`` with its per-event reference loop
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.perf.batched
 from repro.automata.moore import MooreMachine
-from repro.conformance.oracles import oracle_banked_replay
+from repro.conformance.oracles import oracle_banked_replay, oracle_moore_outputs
 from repro.perf.batched import (
     BATCH_THRESHOLD,
     BatchedMoore,
@@ -91,19 +92,18 @@ def test_batched_moore_matches_per_machine(stack):
 
 
 def test_long_stream_chunked_scan_matches_compiled():
-    """Streams long enough for the B=12 table and the chunked scan's
+    """Streams long enough for wide block tables and the chunked scan's
     multi-block chunks (K > 1), which hypothesis's short traces miss."""
     rng = random.Random(41)
     machines = [_random_machine(rng, n) for n in (3, 8, 24, 64, 70)]
-    length = 12 * 4096 + 77  # trips the B=12 path, leaves a ragged tail
-    bits = numpy.asarray([rng.randrange(2) for _ in range(length)])
+    length = 12 * 4096 + 77  # many blocks at every width, a ragged tail
+    bits = [rng.randrange(2) for _ in range(length)]
     stack = BatchedMoore(machines)
-    states = stack.run_states(bits)
-    outs = stack.run_outputs(bits)
+    states = stack.run_states(numpy.asarray(bits))
+    outs = stack.run_outputs(numpy.asarray(bits))
     for m, machine in enumerate(machines):
-        compiled = machine.compile()
-        assert numpy.array_equal(states[m], compiled.run_states(bits))
-        assert numpy.array_equal(outs[m], compiled.run_bits(bits))
+        assert states[m].tolist() == _reference_states(machine, bits)
+        assert outs[m].tolist() == oracle_moore_outputs(machine, bits)
 
 
 def test_single_machine_stack_equals_compiled():
@@ -112,8 +112,9 @@ def test_single_machine_stack_equals_compiled():
         machine = _random_machine(rng, num_states)
         bits = [rng.randrange(2) for _ in range(513)]
         stacked = BatchedMoore([machine]).run_states(bits)
-        compiled = machine.compile().run_states(numpy.asarray(bits))
-        assert list(stacked[0]) == list(compiled)
+        assert list(stacked[0]) == _reference_states(machine, bits)
+        outs = BatchedMoore([machine]).run_outputs(bits)
+        assert list(outs[0]) == oracle_moore_outputs(machine, bits)
 
 
 def test_empty_stack_rejected():

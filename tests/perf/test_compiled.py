@@ -1,19 +1,20 @@
-"""Property tests: the compiled Moore fast paths are exact.
+"""Property tests: the one-machine stack ``BatchedMoore([machine])`` is exact.
 
-Every claim the perf layer makes rests on `CompiledMoore` computing the
-same thing as the one-symbol-at-a-time interpreter, for any machine and
-any input length (including the block-boundary edge cases the blocked
-kernel is most likely to get wrong).
+Every designed machine is simulated as a one-machine stack, so the perf
+layer's claims rest on it computing the same thing as the table-driven
+reference :func:`repro.conformance.oracles.oracle_moore_outputs`, for any
+machine and any input length (including the block-boundary edge cases a
+blocked kernel is most likely to get wrong).
 """
 
-import pickle
 import random
 
 import numpy
 import pytest
 
 from repro.automata.moore import MooreMachine
-from repro.perf.compiled import CompiledMoore
+from repro.conformance.oracles import oracle_moore_outputs
+from repro.perf.batched import BatchedMoore
 
 
 def _random_machine(rng: random.Random, num_states: int) -> MooreMachine:
@@ -37,9 +38,8 @@ def _reference_states(machine: MooreMachine, bits) -> list:
     return states
 
 
-# State counts straddle the block-size tiers (16/12/8 bits) and the
-# scan-vs-scalar-walk split at 64 states; lengths straddle block
-# boundaries for every tier.
+# State counts straddle the old block-size tiers (16/12/8 bits) and the
+# 64-state split; lengths straddle block boundaries for every width.
 SIZES = [1, 2, 3, 5, 12, 16, 17, 63, 64, 65, 70, 300]
 LENGTHS = [0, 1, 7, 8, 11, 12, 15, 16, 17, 96, 97, 333, 4097]
 
@@ -49,49 +49,26 @@ def test_run_bits_matches_interpreter(num_states):
     rng = random.Random(num_states)
     for trial in range(3):
         machine = _random_machine(rng, num_states)
-        compiled = machine.compile()
+        kernel = BatchedMoore([machine])
         for length in LENGTHS:
             bits = [rng.randrange(2) for _ in range(length)]
-            expected = machine.trace_outputs("".join(map(str, bits)))
-            assert list(compiled.run_bits(bits)) == expected
-            assert list(compiled.run_bits(numpy.asarray(bits))) == expected
+            expected = oracle_moore_outputs(machine, bits)
+            assert list(kernel.run_outputs(bits)[0]) == expected
+            assert list(kernel.run_outputs(numpy.asarray(bits))[0]) == expected
 
 
 @pytest.mark.parametrize("num_states", [1, 5, 17, 70])
 def test_run_states_and_final_state_match_interpreter(num_states):
     rng = random.Random(100 + num_states)
     machine = _random_machine(rng, num_states)
-    compiled = machine.compile()
+    kernel = BatchedMoore([machine])
     for length in LENGTHS:
         bits = [rng.randrange(2) for _ in range(length)]
         expected = _reference_states(machine, bits)
-        assert list(compiled.run_states(bits)) == expected
-        assert compiled.final_state(bits) == (
+        assert list(kernel.run_states(bits)[0]) == expected
+        assert kernel.final_states(bits)[0] == (
             expected[-1] if expected else machine.start
         )
-
-
-def test_explicit_start_state():
-    rng = random.Random(7)
-    machine = _random_machine(rng, 9)
-    compiled = machine.compile()
-    bits = [rng.randrange(2) for _ in range(45)]
-    for start in range(machine.num_states):
-        rebased = machine.with_start(start)
-        expected = _reference_states(rebased, bits)
-        assert list(compiled.run_states(bits, start=start)) == expected
-
-
-def test_compile_is_memoized_and_excluded_from_pickle():
-    machine = _random_machine(random.Random(3), 6)
-    compiled = machine.compile()
-    assert machine.compile() is compiled
-
-    clone = pickle.loads(pickle.dumps(machine))
-    assert "_compiled" not in clone.__dict__
-    assert clone == machine
-    bits = [1, 0, 1, 1, 0, 0, 1] * 9
-    assert list(clone.compile().run_bits(bits)) == list(compiled.run_bits(bits))
 
 
 def test_rejects_non_binary_alphabet():
@@ -102,4 +79,4 @@ def test_rejects_non_binary_alphabet():
         transitions=((0, 1, 0), (1, 0, 1)),
     )
     with pytest.raises(ValueError):
-        CompiledMoore(machine)
+        BatchedMoore([machine])

@@ -127,3 +127,89 @@ def test_selected_path_matches_loop_at_threshold(monkeypatch, name, offset):
     assert bool(calls) == (offset == 0), (
         f"{name}: n={n} took the {'fast' if calls else 'loop'} path"
     )
+
+
+# ----------------------------------------------------------------------
+# BatchedMoore's own cutovers: block width and walk, from (M, S, N)
+# ----------------------------------------------------------------------
+
+
+def _plan_cutovers(M: int, S: int, n_max: int):
+    """Every N <= n_max at which ``_plan(M, S, N)`` differs from N - 1
+    (the width never shrinks as N grows, so bisection finds each)."""
+    plan = repro.perf.batched._plan
+    cuts, n = [], 0
+    while True:
+        cur = plan(M, S, n)
+        hi = n + 1
+        while hi < n_max and plan(M, S, hi) == cur:
+            hi = min(2 * hi, n_max)
+        if plan(M, S, hi) == cur:
+            return cuts
+        lo = n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if plan(M, S, mid) == cur else (lo, mid)
+        cuts.append(hi)
+        n = hi
+
+
+def _stack_matches_reference(machines, n: int, seed: int) -> None:
+    from repro.conformance.oracles import oracle_moore_outputs
+
+    rng = random.Random(seed)
+    bits = [rng.randrange(2) for _ in range(n)]
+    S = max(m.num_states for m in machines)
+    stack = repro.perf.batched.BatchedMoore(machines)
+    outs = stack.run_outputs(bits)
+    counts = stack.visit_counts(bits)
+    for m, machine in enumerate(machines):
+        assert outs[m].tolist() == oracle_moore_outputs(machine, bits)
+        want = [[0, 0] for _ in range(S)]
+        state = machine.start
+        for bit in bits:
+            want[state][bit] += 1
+            state = machine.transitions[state][bit]
+        assert counts[m].tolist() == want
+
+
+#: (machines, states, largest N): one machine on the chunked scan, a
+#: small heterogeneous family, and a stack just past the direct-walk
+#: cutover.  N stays small enough for the python reference.
+PLAN_SHAPES = [(1, 4, 20000), (8, 24, 2500), (151, 4, 200)]
+PLAN_CUTOVERS = [
+    (M, S, n)
+    for M, S, n_max in PLAN_SHAPES
+    for n in _plan_cutovers(M, S, n_max)
+]
+
+
+@pytest.mark.parametrize(
+    "M,S,n", PLAN_CUTOVERS, ids=[f"{M}x{S}-N{n}" for M, S, n in PLAN_CUTOVERS]
+)
+def test_block_width_cutovers_match_reference(M, S, n):
+    plan = repro.perf.batched._plan
+    assert plan(M, S, n - 1) != plan(M, S, n)
+    sizes = [S] + [random.Random(M + i).randint(1, S) for i in range(M - 1)]
+    machines = _machines(S + n, sizes)
+    for length in (n - 1, n):
+        _stack_matches_reference(machines, length, seed=length)
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["scan", "direct"])
+def test_walk_cutover_matches_reference(offset):
+    """``M*S`` at the cutover takes the chunked scan; one machine more
+    takes the direct walk."""
+    S = 4
+    M = repro.perf.batched._CALL_COST // S + offset
+    direct, _width = repro.perf.batched._plan(M, S, 300)
+    assert direct == bool(offset)
+    _stack_matches_reference(_machines(M, [S] * M), 300, seed=M)
+
+
+def test_block_tables_stay_under_the_cap():
+    cap = repro.perf.batched._MAX_TABLE
+    for M, S in [(1, 4), (1, 5000), (1024, 5), (4096, 64), (1, 1 << 21)]:
+        for n in (10, 10**5, 10**9, 10**12):
+            _direct, width = repro.perf.batched._plan(M, S, n)
+            assert width == 1 or (M * S) << width <= cap

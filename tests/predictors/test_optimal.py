@@ -158,21 +158,63 @@ class TestOracleSemantics:
         with _env(REPRO_CACHE="0"):
             assert optimal_mispredicts(bits, 3) == _optima(bits, 3)[3].mispredicts
 
-    def test_numpy_and_python_kernels_agree(self):
-        from repro.predictors.optimal import (
-            _evaluate_numpy,
-            _evaluate_python,
-        )
-
+    def test_numpy_and_python_kernels_agree(self, monkeypatch):
+        """The kernel's visit counts, and so every structure's cost, equal
+        the per-structure python reference on both block walks, at N = 0,
+        N below the block width, N not a multiple of it, and across
+        visit_counts chunks."""
+        import itertools
         import random
 
+        import repro.perf.batched as batched
+        from repro.predictors.optimal import (
+            _structure_cost,
+            _structure_table,
+            _visit_counts,
+        )
+
+        def check(bits, k):
+            structures = _structure_table(k)
+            counts = batched.BatchedMoore.from_tables(
+                structures.reshape(-1, k, 2)
+            ).visit_counts(bits)
+            for t, got in zip(structures.tolist(), counts):
+                want = _visit_counts(bits, tuple(t), k)
+                assert got.reshape(-1).tolist() == want
+                assert int(got.min(axis=1).sum()) == _structure_cost(want, k)
+
         rng = random.Random(31)
-        bits = [rng.randrange(2) for _ in range(257)]
-        for k in (2, 3):
-            structures = list(enumerate_structures(k))
-            assert _evaluate_python(bits, structures, k) == _evaluate_numpy(
-                bits, structures, k
+        width = 5
+        for direct, k in itertools.product((False, True), (2, 3)):
+            monkeypatch.setattr(
+                batched, "_plan", lambda M, S, N: (direct, width)
             )
+            for n in (0, width - 2, 7 * width + 3):
+                check([rng.randrange(2) for _ in range(n)], k)
+            # Chunks of two blocks: the stream crosses several chunk
+            # boundaries, each carrying its end states into the next.
+            structures = len(_structure_table(k))
+            with monkeypatch.context() as patch:
+                patch.setattr(batched, "_COUNT_CHUNK", structures * 2 * width)
+                check([rng.randrange(2) for _ in range(9 * width + 1)], k)
+
+    def test_each_size_is_enumerated_once(self, monkeypatch):
+        """Shards slice one structure table per size: a cold search does
+        not re-enumerate from structure 0 for every shard and witness."""
+        import repro.predictors.optimal as optimal
+
+        calls = []
+        enumerate_structures = optimal.enumerate_structures
+
+        def spy(k):
+            calls.append(k)
+            return enumerate_structures(k)
+
+        monkeypatch.setattr(optimal, "enumerate_structures", spy)
+        monkeypatch.setattr(optimal, "_STRUCTURE_TABLES", {}, raising=False)
+        with _env(REPRO_CACHE="0"):
+            optimal.optimal_predictors([0, 1, 1, 0, 1] * 40, kmax=4, jobs=1)
+        assert calls.count(4) == 1
 
     def test_witness_is_hopcroft_canonical(self):
         bits = [int(c) for c in "010101010101"]

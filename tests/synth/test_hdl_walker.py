@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.automata.moore import MooreMachine
+from repro.conformance.oracles import oracle_moore_outputs
 from repro.core.pipeline import design_predictor
 from repro.synth.hdl_walker import (
     HDLWalkError,
@@ -49,14 +50,14 @@ def bit_traces(draw, max_len: int = 64):
 def test_verilog_walker_bit_exact(machine, bits):
     walked = walk_verilog(generate_verilog(machine))
     assert walked.start == machine.start
-    assert walked.run_bits(bits) == list(machine.compile().run_bits(bits))
+    assert walked.run_bits(bits) == oracle_moore_outputs(machine, bits)
 
 
 @given(machines(), bit_traces())
 def test_vhdl_walker_bit_exact(machine, bits):
     walked = walk_vhdl(generate_vhdl(machine))
     assert walked.start == machine.start
-    assert walked.run_bits(bits) == list(machine.compile().run_bits(bits))
+    assert walked.run_bits(bits) == oracle_moore_outputs(machine, bits)
 
 
 def test_walkers_agree_on_designed_predictor(paper_trace):
@@ -67,7 +68,7 @@ def test_walkers_agree_on_designed_predictor(paper_trace):
     vhdl = walk_vhdl(generate_vhdl(machine))
     rng = random.Random(0xD1CE)
     bits = [rng.randint(0, 1) for _ in range(500)]
-    expected = list(machine.compile().run_bits(bits))
+    expected = oracle_moore_outputs(machine, bits)
     assert verilog.run_bits(bits) == expected
     assert vhdl.run_bits(bits) == expected
 
@@ -88,7 +89,7 @@ def test_verilog_walker_catches_wrong_transition():
     assert broken != text
     walked = walk_verilog(broken)
     bits = [1, 0, 0, 1]
-    assert walked.run_bits(bits) != list(machine.compile().run_bits(bits))
+    assert walked.run_bits(bits) != oracle_moore_outputs(machine, bits)
 
 
 def test_vhdl_walker_rejects_truncated_case():
