@@ -8,8 +8,9 @@ minterms merge) but impose no covering obligation, exactly as in Espresso.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List
 
+from repro.logic.covering import _bit_indices, select_cover
 from repro.logic.cube import Cube
 from repro.logic.truth_table import TruthTable
 
@@ -21,50 +22,61 @@ def prime_implicants(table: TruthTable) -> List[Cube]:
     repeatedly merge cubes adjacent in one position, and keep every cube that
     never merged.  Returns primes sorted for determinism.
 
-    Cubes are handled as raw ``(mask, value)`` integer pairs throughout the
-    merge loop.  Two cubes with the same mask merge exactly when their
-    values differ in one care bit, so instead of comparing cube pairs we
-    probe, for every cube and every care position holding a 0, whether the
-    value with that bit set to 1 is also present -- a set lookup instead of
-    a quadratic pairing, and no :class:`Cube` objects on the hot path.
+    The cubes sharing a care mask are held as one ``2**width``-bit int
+    whose bit ``v`` is set when the cube with that mask and value ``v`` is
+    present.  Two such cubes merge along care bit ``i`` exactly when their
+    values differ only in that bit, so one shift, two ands and a mask of
+    the values with bit ``i`` clear find every merging pair of the level at
+    once, with no per-cube work on the hot path.
     """
     width = table.width
-    full = (1 << width) - 1
-    current: Dict[int, Set[int]] = {full: set(table.on_set | table.dc_set)}
-    primes: Set[Tuple[int, int]] = set()
+    size = 1 << width
+    # clear[i]: the values (as bit positions) whose bit i is 0.
+    clear: List[int] = []
+    for i in range(width):
+        run = 1 << i
+        pattern, period = (1 << run) - 1, 2 * run
+        while period < size:
+            pattern |= pattern << period
+            period *= 2
+        clear.append(pattern)
+    present = 0
+    for m in table.on_set | table.dc_set:
+        present |= 1 << m
+    current: Dict[int, int] = {size - 1: present} if present else {}
+    primes: List[Cube] = []
     while current:
-        next_level: Dict[int, Set[int]] = {}
+        next_level: Dict[int, int] = {}
         for mask, values in current.items():
-            care_bits = [1 << i for i in range(width) if mask & (1 << i)]
-            merged_away: Set[int] = set()
-            for value in values:
-                for bit in care_bits:
-                    if value & bit:
-                        continue  # probe upward only: partner has the 1
-                    partner = value | bit
-                    if partner in values:
-                        merged_away.add(value)
-                        merged_away.add(partner)
-                        next_level.setdefault(mask & ~bit, set()).add(value)
-            for value in values - merged_away:
-                primes.add((mask, value))
+            merged = 0
+            for i in range(width):
+                bit = 1 << i
+                if not mask & bit:
+                    continue
+                pairs = values & (values >> bit) & clear[i]
+                if pairs:
+                    merged |= pairs | (pairs << bit)
+                    lower = mask & ~bit
+                    next_level[lower] = next_level.get(lower, 0) | pairs
+            primes.extend(
+                Cube(width=width, value=value, mask=mask)
+                for value in _bit_indices(values & ~merged)
+            )
         current = next_level
-    return sorted(
-        Cube(width=width, value=value, mask=mask) for mask, value in primes
-    )
+    return sorted(primes)
 
 
 def minimize_exact(table: TruthTable, max_branch_minterms: int = 4096) -> List[Cube]:
-    """Minimum-cost prime cover of ``table`` (literal count, then cube count).
+    """Minimum-cost prime cover of ``table`` (``Cube.pattern_cost``, then
+    cube count).
 
     Degenerate cases (empty on-set, or no off-set at all) are handled without
     covering.  Otherwise we take essential primes first, then solve the
-    residual covering problem exactly when small (branch and bound) and
-    greedily when large.  Guarded by ``max_branch_minterms`` so callers can
-    never trip an exponential blow-up by accident.
+    residual covering problem by budgeted branch and bound when there are
+    at most 64 primes and at most ``max_branch_minterms`` on-set minterms,
+    and greedily otherwise, so callers can never trip an exponential
+    blow-up by accident.
     """
-    from repro.logic.covering import select_cover
-
     if not table.on_set:
         return []
     if not table.off_set:
